@@ -191,12 +191,6 @@ let kernel_tests () =
     Test.make ~name:"phase: rip+global+detail+rollback" (Staged.stage phase_detail);
     Test.make ~name:"move: rip+reroute+sta+rollback" (Staged.stage move_cycle);
     Test.make ~name:"pipeline: full move propose+reject" (Staged.stage pipeline_cycle);
-    Test.make ~name:"route: global batch planner"
-      (Staged.stage
-         (let all_nets = Array.init (Spr_netlist.Netlist.n_nets nl) Fun.id in
-          fun () ->
-            let fps = Array.map (Spr_route.Parallel.global_footprint rs) all_nets in
-            ignore (Spr_route.Parallel.plan_batches fps all_nets : int array list)));
   ]
 
 (* Machine-readable mirror of the kernel table, one ns/run entry per
@@ -454,96 +448,6 @@ let racing () =
     exit 1
   end
 
-(* --- parallel reroute scaling --- *)
-
-let route_parallel_json_path = "BENCH_route_parallel.json"
-
-(* The reroute phase in isolation: fixed-seed rip-up/reroute/commit
-   cycles on the 529-cell design, repeated at 1/2/4 route workers. The
-   op stream is identical at every width and so — by the batched
-   router's core contract — is the final routing state, which the bench
-   asserts. Throughput is honest measured wall clock with the core
-   count recorded; on a single-core box the wider runs show the
-   dispatch overhead rather than a speedup, and the JSON says so. *)
-let route_parallel () =
-  section "Parallel reroute scaling (529-cell design, rip+reroute cycles)";
-  let module Par = Spr_route.Parallel in
-  let effort = effort_of_env E.Quick in
-  let cycles =
-    match effort with E.Quick -> 150 | E.Standard -> 600 | E.Thorough -> 1_500
-  in
-  let nl = Spr_netlist.Circuits.make_by_name "big529" in
-  let n = Spr_netlist.Netlist.n_cells nl in
-  let arch = E.arch_for ~tracks:38 nl in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "design big529 (%d cells), %d rip+reroute cycles, %d core(s)\n%!" n cycles
-    cores;
-  let run workers =
-    let place = Spr_layout.Placement.create_exn arch nl ~rng:(Spr_util.Rng.create 7) in
-    let rs = Spr_route.Route_state.create place in
-    Spr_route.Router.route_all rs;
-    let pool = if workers > 1 then Some (Par.Pool.create ~workers) else None in
-    let par = Par.create ?pool rs in
-    let stats = Par.fresh_stats () in
-    let rng = Spr_util.Rng.create 99 in
-    let j = Spr_util.Journal.create () in
-    let t0 = Spr_util.Clock.now () in
-    for _ = 1 to cycles do
-      for _ = 1 to 4 do
-        ignore (Spr_route.Router.rip_up_cell rs j (Spr_util.Rng.int rng n) : int list)
-      done;
-      ignore (Par.reroute ~stats par j : int list);
-      Spr_util.Journal.commit j
-    done;
-    let wall = Spr_util.Clock.now () -. t0 in
-    let busy = match pool with Some p -> Par.Pool.busy_seconds p | None -> 0.0 in
-    Option.iter Par.Pool.shutdown pool;
-    (wall, busy, stats, Spr_route.Route_state.snapshot rs)
-  in
-  let widths = [ 1; 2; 4 ] in
-  let rows = List.map (fun w -> (w, run w)) widths in
-  let _, (base_wall, _, _, base_snap) = List.hd rows in
-  List.iter
-    (fun (w, (wall, busy, stats, snap)) ->
-      Printf.printf
-        "workers %d  wall %6.2f s (%6.1f cycles/s)  speedup %4.2fx  batches %d (max %d)  \
-         conflicts %d  retries %d  worker busy %5.2f s  identical %b\n%!"
-        w wall
-        (float_of_int cycles /. Float.max 1e-9 wall)
-        (base_wall /. Float.max 1e-9 wall)
-        stats.Par.s_batches stats.Par.s_max_batch stats.Par.s_conflicts
-        stats.Par.s_retries busy (snap = base_snap))
-    rows;
-  if not (List.for_all (fun (_, (_, _, _, snap)) -> snap = base_snap) rows) then begin
-    Printf.eprintf "FATAL: parallel reroute diverged from serial\n";
-    exit 1
-  end;
-  let open Spr_obs.Json in
-  let row_json (w, (wall, busy, stats, snap)) =
-    Obj
-      [
-        ("workers", Int w);
-        ("wall_s", Float wall);
-        ("cycles_per_s", Float (Float.round (float_of_int cycles /. Float.max 1e-9 wall)));
-        ("speedup_vs_serial", Float (Float.round (base_wall /. Float.max 1e-9 wall *. 100.) /. 100.));
-        ("batches", Int stats.Par.s_batches);
-        ("planned_nets", Int stats.Par.s_planned);
-        ("max_batch", Int stats.Par.s_max_batch);
-        ("conflicts", Int stats.Par.s_conflicts);
-        ("serial_retries", Int stats.Par.s_retries);
-        ("worker_busy_s", Float (Float.round (busy *. 100.) /. 100.));
-        ("identical_to_serial", Bool (snap = base_snap));
-      ]
-  in
-  Spr_obs.Bench.write ~path:route_parallel_json_path ~bench:"route-parallel"
-    ~effort:(E.effort_to_string effort)
-    [
-      ("design", String "big529");
-      ("cycles", Int cycles);
-      ("rows", List (List.map row_json rows));
-    ];
-  Printf.printf "parallel reroute timings written to %s\n%!" route_parallel_json_path
-
 (* --- job service overhead --- *)
 
 let serve_json_path = "BENCH_serve.json"
@@ -688,7 +592,7 @@ let serve () =
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|fig6|fig7|flows|ablation-seg|ablation-pinmap|ablation-ordering|rice|kernels|portfolio|racing|route-parallel|serve|all]";
+     [table1|table2|fig6|fig7|flows|ablation-seg|ablation-pinmap|ablation-ordering|rice|kernels|portfolio|racing|serve|all]";
   print_endline "env: SPR_BENCH_EFFORT=quick|standard|thorough"
 
 let () =
@@ -708,7 +612,6 @@ let () =
     kernels ();
     portfolio ();
     racing ();
-    route_parallel ();
     serve ()
   | [ "table1" ] -> table1 ()
   | [ "table2" ] -> table2 ()
@@ -722,7 +625,6 @@ let () =
   | [ "kernels" ] -> kernels ()
   | [ "portfolio" ] -> portfolio ()
   | [ "racing" ] -> racing ()
-  | [ "route-parallel" ] -> route_parallel ()
   | [ "serve" ] -> serve ()
   | _ -> usage ());
   Printf.printf "\ntotal bench cpu: %.1f s\n%!" (Sys.time () -. t0)

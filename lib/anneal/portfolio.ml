@@ -161,4 +161,3 @@ let run_replicas ~replicas f =
     Array.append [| first |] (Array.map Domain.join spawned)
   end
 
-let worker_share ~budget ~replicas = max 1 (budget / max 1 replicas)

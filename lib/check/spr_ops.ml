@@ -38,7 +38,6 @@ type state = {
   rs : Rs.t;
   sta : Sta.t;
   j : J.t;
-  reroute : Rs.t -> J.t -> int list;  (** The [Route_pass] implementation. *)
   mutable txn : (int * string) option;  (** Journal mark and snapshot at [Begin]. *)
   mutable violation : string option;
 }
@@ -59,15 +58,14 @@ let full_snapshot st =
   Buffer.add_string buf (Printf.sprintf "critical %.12f\n" (Sta.critical_delay st.sta));
   Buffer.contents buf
 
-let make ?(n_cells = 44) ?(tracks = 14) ?(reroute = fun rs j -> Router.reroute rs j) ~seed
-    () =
+let make ?(n_cells = 44) ?(tracks = 14) ~seed () =
   let nl = Spr_netlist.Generator.generate (Spr_netlist.Generator.default ~n_cells) ~seed in
   let arch = Arch.size_for ~tracks nl in
   let place = P.create_exn arch nl ~rng:(Rng.create ((seed * 7919) + 1)) in
   let rs = Rs.create place in
   Router.route_all ~passes:2 rs;
   let sta = Sta.create Spr_timing.Delay_model.default rs in
-  { place; rs; sta; j = J.create (); reroute; txn = None; violation = None }
+  { place; rs; sta; j = J.create (); txn = None; violation = None }
 
 let route_state st = st.rs
 
@@ -118,7 +116,7 @@ let apply st op =
         sta_dirty st (Router.rip_up_cell st.rs st.j cell)
       end
     end
-  | Route_pass -> sta_dirty st (st.reroute st.rs st.j)
+  | Route_pass -> sta_dirty st (Router.reroute st.rs st.j)
   | Route_net n ->
     let net = n mod n_nets in
     let touched = ref false in

@@ -35,16 +35,12 @@ type state
 val make :
   ?n_cells:int ->
   ?tracks:int ->
-  ?reroute:(Spr_route.Route_state.t -> Spr_util.Journal.t -> int list) ->
   seed:int ->
   unit ->
   state
 (** Deterministic system: a generated [n_cells] circuit (default 44) on
     a [tracks]-per-channel fabric (default 14), randomly placed, given
-    two initial routing passes, with a fresh incremental STA.
-    [?reroute] substitutes the [Route_pass] implementation (default the
-    serial {!Spr_route.Router.reroute}) — {!Par_ops} plugs the batched
-    parallel reroute in here to build its differential twin. *)
+    two initial routing passes, with a fresh incremental STA. *)
 
 val apply : state -> op -> unit
 

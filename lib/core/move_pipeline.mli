@@ -11,8 +11,6 @@ type t
 
 val create :
   ?profile:Profile.t ->
-  ?route_pool:Spr_route.Parallel.Pool.t ->
-  ?route_grain:int ->
   router:Spr_route.Router.config ->
   pinmap_move_prob:float ->
   enable_pinmap_moves:bool ->
@@ -30,18 +28,10 @@ val create :
     continues accumulating into an existing profile instead of starting
     a fresh one — the tool passes the old pipeline's profile when it
     rebuilds the pipeline around an adopted portfolio layout, so one
-    profile spans the whole replica run. [?route_pool] is the shared
-    worker-domain pool the reroute phases dispatch batches to (borrowed,
-    created once per run, never per move); absent, batches run inline on
-    the calling domain with identical results and counters.
-    [?route_grain] (default 8) is the dispatch chunk size. *)
+    profile spans the whole replica run. *)
 
 val profile : t -> Profile.t
 (** The cumulative per-phase instrumentation for this pipeline. *)
-
-val route_pool : t -> Spr_route.Parallel.Pool.t option
-(** The pool the reroute phases dispatch to, so the tool can thread it
-    into a rebuilt pipeline when adopting a portfolio layout. *)
 
 val last_cells : t -> int list
 (** Cells perturbed by the most recent {!propose}; empty when it

@@ -5,7 +5,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 module P = Spr_layout.Placement
 module Rs = Spr_route.Route_state
 module Router = Spr_route.Router
-module Parallel = Spr_route.Parallel
 module Sta = Spr_timing.Sta
 module J = Spr_util.Journal
 module Portfolio = Spr_anneal.Portfolio
@@ -57,8 +56,6 @@ module Config = struct
     exchange : Portfolio.exchange;
     scheduler : scheduler;
     stream : int;
-    route_workers : int;
-    route_grain : int;
   }
 
   type obs = {
@@ -117,8 +114,6 @@ module Config = struct
               race_sync = true;
             };
           stream = 0;
-          route_workers = 1;
-          route_grain = 8;
         };
       obs =
         { record = false; trace_path = None; report_path = None; label = None; on_event = None };
@@ -247,10 +242,6 @@ module Config = struct
       reject "parallel replicas must be >= 1 (got %d)" t.parallel.replicas;
     if t.parallel.stream < 0 then
       reject "parallel stream must be >= 0 (got %d)" t.parallel.stream;
-    if t.parallel.route_workers < 1 then
-      reject "route_workers must be >= 1 (got %d)" t.parallel.route_workers;
-    if t.parallel.route_grain < 1 then
-      reject "route_grain must be >= 1 (got %d)" t.parallel.route_grain;
     (match t.parallel.exchange with
     | Portfolio.Independent -> ()
     | Portfolio.Best_exchange n when n >= 1 -> ()
@@ -383,10 +374,6 @@ module Config = struct
     }
 
   let with_stream stream t = { t with parallel = { t.parallel with stream } }
-
-  let with_route_workers route_workers t = { t with parallel = { t.parallel with route_workers } }
-
-  let with_route_grain route_grain t = { t with parallel = { t.parallel with route_grain } }
 
   let with_scheduler scheduler t = { t with parallel = { t.parallel with scheduler } }
 
@@ -936,29 +923,6 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
     events = [];
   }
 
-(* One route pool per replica run, reused across every move and shut
-   down when the run ends (however it ends). The fleet-wide
-   [route_workers] budget is split evenly between portfolio replicas; a
-   share of 1 means inline planning — same batches, same results, no
-   domains. *)
-let with_route_pool (config : Config.t) f =
-  let share =
-    Portfolio.worker_share ~budget:config.parallel.route_workers
-      ~replicas:config.parallel.replicas
-  in
-  if share <= 1 then f None
-  else begin
-    let pool = Parallel.Pool.create ~workers:share in
-    Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f (Some pool))
-  end
-
-(* Hook the pool's busy clock into the profile's worker-utilization
-   gauge (masked in traces; visible in reports). *)
-let probe_pool profile = function
-  | None -> ()
-  | Some pool ->
-    Profile.set_busy_probe profile (fun () -> Parallel.Pool.busy_seconds pool)
-
 let run_fresh ?ctx ?seed_place ?start_temperature ~(config : Config.t) arch nl =
   let rng = Spr_util.Rng.stream ~seed:config.seed ~index:config.parallel.stream in
   (* A seeded run starts from the caller's placement (plain data, so
@@ -985,16 +949,13 @@ let run_fresh ?ctx ?seed_place ?start_temperature ~(config : Config.t) arch nl =
         ~d_per_net:config.weights.d_per_net ~t_emphasis:config.weights.t_emphasis
         ~initial_delay ()
     in
-    with_route_pool config @@ fun route_pool ->
     let pipeline =
-      Move_pipeline.create ?route_pool ~route_grain:config.parallel.route_grain
-        ~router:(timing_router ~config ~sta nl)
+      Move_pipeline.create ~router:(timing_router ~config ~sta nl)
         ~pinmap_move_prob:config.moves.pinmap_move_prob
         ~enable_pinmap_moves:config.moves.enable_pinmap_moves
         ~max_swap_tries:config.moves.max_swap_tries ~place ~rs ~sta ~weights
         ~journal:(J.create ()) ()
     in
-    probe_pool (Move_pipeline.profile pipeline) route_pool;
     let s =
       {
         place;
@@ -1028,16 +989,13 @@ let run_resumed ?ctx ~(config : Config.t) ~(resume : resume) nl =
     let sta = Sta.create config.delay_model rs in
     let rng = Spr_util.Rng.of_state data.Checkpoint.V2.rng_state in
     let weights = Spr_anneal.Weights.restore data.Checkpoint.V2.weights in
-    with_route_pool config @@ fun route_pool ->
     let pipeline =
-      Move_pipeline.create ?route_pool ~route_grain:config.parallel.route_grain
-        ~router:(timing_router ~config ~sta nl)
+      Move_pipeline.create ~router:(timing_router ~config ~sta nl)
         ~pinmap_move_prob:config.moves.pinmap_move_prob
         ~enable_pinmap_moves:config.moves.enable_pinmap_moves
         ~max_swap_tries:config.moves.max_swap_tries ~place ~rs ~sta ~weights
         ~journal:(J.create ()) ()
     in
-    probe_pool (Move_pipeline.profile pipeline) route_pool;
     let s =
       {
         place;

@@ -159,18 +159,6 @@ module Config : sig
             {!run_portfolio} overrides this per replica, so re-running
             the winning replica standalone is just a serial run with
             [with_stream k]. Must be >= 0. *)
-    route_workers : int;
-        (** Fleet-wide domain budget for the intra-move parallel reroute
-            ({!Spr_route.Parallel}): each replica gets
-            [Spr_anneal.Portfolio.worker_share ~budget:route_workers
-            ~replicas] workers, and a share of 1 routes inline with no
-            pool. Results are bit-identical for every setting — the
-            batch planner and its trace counters never depend on the
-            worker count — so this is purely a throughput knob. Must be
-            >= 1 (the default). *)
-    route_grain : int;
-        (** Chunk size of the pool's parallel-for dispatch; affects
-            scheduling only, never results. Must be >= 1 (default 8). *)
   }
 
   type obs = {
@@ -236,8 +224,7 @@ module Config : sig
       validation ([validate_every = 50]), no budgets, no checkpointing
       ([snapshot_every = 1], [snapshot_keep = 3],
       [final_checkpoint = true]), serial ([replicas = 1],
-      [Independent], [`Barrier] scheduler, [stream = 0],
-      [route_workers = 1], [route_grain = 8]). *)
+      [Independent], [`Barrier] scheduler, [stream = 0]). *)
 
   val scheduler_to_string : scheduler -> string
   (** ["barrier"], ["racing"], or ["racing:free"]. *)
@@ -301,10 +288,6 @@ module Config : sig
   val with_replicas : ?exchange:Spr_anneal.Portfolio.exchange -> int -> t -> t
 
   val with_stream : int -> t -> t
-
-  val with_route_workers : int -> t -> t
-
-  val with_route_grain : int -> t -> t
 
   val with_scheduler : scheduler -> t -> t
 

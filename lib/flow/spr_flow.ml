@@ -169,8 +169,8 @@ let persist_stage ~(config : C.t) ~idx ~name st =
    always reject) a batch of moves through a throwaway pipeline,
    measuring the uphill deltas under the same composite cost the
    anneal will use. T0 = avg_uphill / -ln(chi_seeded). Runs inline on
-   one domain with a dedicated rng, so it is identical at every
-   [--route-workers] setting and never perturbs the real run. *)
+   one domain with a dedicated rng, so it never perturbs the real
+   run. *)
 
 let probe_temperature ~(config : C.t) arch nl ~slots ~pinmaps =
   match P.create_from arch nl ~slots ~pinmaps with

@@ -18,19 +18,13 @@ let best_track ?(antifuse_weight = 3.0) st ~channel ~span =
   done;
   !best
 
-let plan ?antifuse_weight st ~net ~channel =
+let attempt ?antifuse_weight st j ~net ~channel =
   match List.assoc_opt channel (Route_state.h_demands st net) with
-  | None -> None
+  | None -> false
   | Some span -> (
     match best_track ?antifuse_weight st ~channel ~span with
-    | None -> None
+    | None -> false
     | Some (track, slo, shi, _) ->
-      Some
-        { Route_state.h_channel = channel; h_track = track; h_slo = slo; h_shi = shi; h_span = span })
-
-let attempt ?antifuse_weight st j ~net ~channel =
-  match plan ?antifuse_weight st ~net ~channel with
-  | None -> false
-  | Some hr ->
-    Route_state.claim_detail st j net hr;
-    true
+      Route_state.claim_detail st j net
+        { Route_state.h_channel = channel; h_track = track; h_slo = slo; h_shi = shi; h_span = span };
+      true)

@@ -11,13 +11,6 @@
     long nets; the antifuse term avoids chaining many short segments,
     which would accrue antifuse delay. *)
 
-val plan :
-  ?antifuse_weight:float -> Route_state.t -> net:int -> channel:int -> Route_state.hroute option
-(** Read-only search half of {!attempt}: the track run the net's queued
-    demand in [channel] would claim, without claiming it. Safe to call
-    concurrently from several domains while no claim runs
-    ({!Spr_route.Parallel} provides that barrier). *)
-
 val attempt :
   ?antifuse_weight:float -> Route_state.t -> Spr_util.Journal.t -> net:int -> channel:int -> bool
 (** [attempt st j ~net ~channel] tries to detail-route the net's queued

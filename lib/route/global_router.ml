@@ -50,18 +50,10 @@ let pin_bbox st net =
     let xlo = List.fold_left min max_int cols and xhi = List.fold_left max min_int cols in
     Some ((clo, chi), (xlo, xhi))
 
-let column_window ?(margin = 2) st net =
-  match pin_bbox st net with
-  | None -> None
-  | Some (_, (xlo, xhi)) ->
-    let arch = Route_state.arch st in
-    let lo = max 0 (xlo - margin) and hi = min (arch.Spr_arch.Arch.cols - 1) (xhi + margin) in
-    Some (I.make lo hi)
-
-let plan ?(margin = 2) ?(max_candidates = default_max_candidates) st net =
+let attempt ?(margin = 2) ?(max_candidates = default_max_candidates) st j net =
   let arch = Route_state.arch st in
   match pin_bbox st net with
-  | None -> None
+  | None -> false
   | Some ((clo, chi), (xlo, xhi)) ->
     let span = I.make clo chi in
     let try_col x =
@@ -84,12 +76,11 @@ let plan ?(margin = 2) ?(max_candidates = default_max_candidates) st net =
       in
       try_vtrack 0
     in
-    fold_candidates ~max_candidates ~lo:xlo ~hi:xhi ~min_col:0
-      ~max_col:(arch.Spr_arch.Arch.cols - 1) ~margin try_col
-
-let attempt ?margin ?max_candidates st j net =
-  match plan ?margin ?max_candidates st net with
-  | Some vr ->
-    Route_state.claim_global st j net vr;
-    true
-  | None -> false
+    (match
+       fold_candidates ~max_candidates ~lo:xlo ~hi:xhi ~min_col:0
+         ~max_col:(arch.Spr_arch.Arch.cols - 1) ~margin try_col
+     with
+    | Some vr ->
+      Route_state.claim_global st j net vr;
+      true
+    | None -> false)

@@ -7,23 +7,6 @@
     Robustness comes not from one exhaustive search but from the many
     re-attempts the annealer makes in ever more compliant placements. *)
 
-val plan :
-  ?margin:int -> ?max_candidates:int -> Route_state.t -> int -> Route_state.vroute option
-(** [plan st net] is the read-only search half of {!attempt}: the spine
-    the net would claim against the current state, without claiming it.
-    Touches no mutable state and allocates only locally, so concurrent
-    [plan] calls from several domains are safe as long as no claim runs
-    concurrently ({!Spr_route.Parallel} provides that barrier). *)
-
-val column_window : ?margin:int -> Route_state.t -> int -> Spr_util.Interval.t option
-(** The exact window of spine columns {!plan} may probe for the net: the
-    pin column bounding box widened by [margin] (default 2), clipped to
-    the die. Any vertical segment a plan can claim lies inside this
-    window, so two nets with disjoint windows can never contend for a
-    vertical resource — the conflict footprint of the parallel batch
-    planner. [None] for nets with fewer than two pins (never globally
-    routed). *)
-
 val attempt :
   ?margin:int -> ?max_candidates:int -> Route_state.t -> Spr_util.Journal.t -> int -> bool
 (** [attempt st j net] tries to give [net] (which must be in U{_G}) a
@@ -31,5 +14,4 @@ val attempt :
     {!Route_state.claim_global} and [true] is returned. [margin]
     (default 2) lets the spine sit slightly outside the pin bounding
     box; at most [max_candidates] (default 24) columns are probed,
-    nearest the bounding-box center first. Equivalent to {!plan}
-    followed by the claim. *)
+    nearest the bounding-box center first. *)

@@ -665,11 +665,14 @@ let snapshot t =
       List.iter
         (fun (ch, span) -> add "  demand ch=%d %s\n" ch (I.to_string span))
         (List.sort compare ns.demands);
+      (* Live list order, not sorted: the delay model builds each net's
+         RC tree in this order, so two states whose lists differ only in
+         order time differently and must not snapshot equal. *)
       List.iter
         (fun (ch, hr) ->
           add "  hr ch=%d tr=%d [%d..%d] %s\n" ch hr.h_track hr.h_slo hr.h_shi
             (I.to_string hr.h_span))
-        (List.sort compare ns.hroutes);
+        ns.hroutes;
       List.iter (fun ch -> add "  missing ch=%d\n" ch) (List.sort compare ns.missing))
     t.nstats;
   add "g=%d d=%d\n" (g_count t) (d_count t);

@@ -238,5 +238,7 @@ end
 val snapshot : t -> string
 (** Deterministic serialization of the observable routing state (segment
     ownership, per-net routes and demands, queues, counters) — two states
-    are equal iff their snapshots are equal. Tests use this to verify
+    are equal iff their snapshots are equal. Each net's track runs appear
+    in live list order, the order {!h_routes} returns and the delay model
+    and checkpoints observe. Tests use this to verify
     that a rolled-back transaction restores the state exactly. *)

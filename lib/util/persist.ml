@@ -65,6 +65,11 @@ let read_file path =
       Error (Printexc.to_string e))
 
 let ensure_dir path =
-  if not (Sys.file_exists path) then Sys.mkdir path 0o755
-  else if not (Sys.is_directory path) then
+  let is_dir () = try Sys.is_directory path with Sys_error _ -> false in
+  (* Another domain or process may create the path between the exists
+     check and the mkdir; losing that race is fine when a directory is
+     what won it. *)
+  (if not (Sys.file_exists path) then
+     try Sys.mkdir path 0o755 with Sys_error _ as e -> if not (is_dir ()) then raise e);
+  if not (is_dir ()) then
     invalid_arg (Printf.sprintf "Persist.ensure_dir: %s exists and is not a directory" path)

@@ -49,5 +49,6 @@ val read_file : string -> (string, string) Stdlib.result
     exception when the file is missing or unreadable. *)
 
 val ensure_dir : string -> unit
-(** Create a directory if it does not exist (single level). Raises
+(** Create a directory if it does not exist (single level). Safe when
+    several domains or processes create the same path at once. Raises
     [Invalid_argument] if the path exists and is not a directory. *)

@@ -348,247 +348,6 @@ let test_split_reroute_equals_combined =
       in
       combined = split && Rs.snapshot st1 = Rs.snapshot st2)
 
-(* --- Spr_route.Parallel: batched reroute on a domain pool --- *)
-
-module Par = Spr_route.Parallel
-
-let with_pool ~workers f =
-  let pool = Par.Pool.create ~workers in
-  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
-
-let test_conflict_footprints () =
-  let w g lo hi = Par.Window { group = g; lo; hi } in
-  Alcotest.(check bool) "shared channel endpoint conflicts" true
-    (Par.conflict (w 1 0 5) (w 1 5 9));
-  Alcotest.(check bool) "nested spans conflict" true (Par.conflict (w 2 2 8) (w 2 4 5));
-  Alcotest.(check bool) "nesting is symmetric" true (Par.conflict (w 2 4 5) (w 2 2 8));
-  Alcotest.(check bool) "disjoint spans in one channel don't conflict" false
-    (Par.conflict (w 1 0 3) (w 1 4 9));
-  Alcotest.(check bool) "same columns, different channels never conflict" false
-    (Par.conflict (w 1 0 9) (w 2 0 9));
-  (* cross-row feedthroughs contend in the shared vertical fabric *)
-  Alcotest.(check bool) "overlapping feedthrough windows conflict" true
-    (Par.conflict (w (-1) 3 7) (w (-1) 7 12));
-  Alcotest.(check bool) "vertical vs horizontal resources never conflict" false
-    (Par.conflict (w (-1) 0 9) (w 0 0 9));
-  Alcotest.(check bool) "Empty conflicts with nothing" false (Par.conflict Par.Empty (w 1 0 9))
-
-let test_plan_batches () =
-  let w lo hi = Par.Window { group = 0; lo; hi } in
-  let batches fps queue = List.map Array.to_list (Par.plan_batches fps queue) in
-  Alcotest.(check (list (list int))) "pairwise disjoint nets share one ordered batch"
-    [ [ 10; 11; 12 ] ]
-    (batches [| w 0 1; w 2 3; w 4 5 |] [| 10; 11; 12 |]);
-  (* 0 and 2 are independent; 1 overlaps 0; 3 overlaps both 0 and 1 *)
-  Alcotest.(check (list (list int))) "overlap chain splits into ordered batches"
-    [ [ 0; 2 ]; [ 1 ]; [ 3 ] ]
-    (batches [| w 0 2; w 1 3; w 9 9; w 2 4 |] [| 0; 1; 2; 3 |]);
-  Alcotest.(check (list (list int))) "empty queue has no batches" []
-    (batches [||] [||])
-
-let test_retry_order_canonical () =
-  let e ch key net = { Par.cf_channel = ch; cf_key = key; cf_net = net } in
-  (* conflicts as a commit sweep would discover them: channel-major
-     tail-append order, deliberately not the retry order *)
-  let discovered = [ e 2 3 7; e (-1) 5 1; e 2 9 4; e (-1) 5 8; e 2 3 9 ] in
-  let expect = [ e (-1) 5 8; e (-1) 5 1; e 2 9 4; e 2 3 9; e 2 3 7 ] in
-  Alcotest.(check bool) "retries re-sorted to canonical position, not tail-append" true
-    (Par.retry_order discovered = expect)
-
-let run_parallel ~workers st j =
-  let stats = Par.fresh_stats () in
-  let go pool =
-    let par = Par.create ?pool ~grain:2 st in
-    Par.reroute ~stats par j
-  in
-  let changed = if workers <= 1 then go None else with_pool ~workers (fun p -> go (Some p)) in
-  (changed, stats)
-
-let test_parallel_equals_serial =
-  QCheck.Test.make ~name:"parallel reroute == serial reroute (no pool and pool of 3)"
-    ~count:10
-    QCheck.(pair small_int (int_range 0 39))
-    (fun (seed, cell) ->
-      let seed = seed mod 13 in
-      let make () =
-        let st, _, _ = make_state ~n_cells:40 ~seed ~tracks:10 () in
-        Router.route_all st;
-        let j = J.create () in
-        ignore (Router.rip_up_cell st j cell : int list);
-        (st, j)
-      in
-      let st1, j1 = make () and st2, j2 = make () and st3, j3 = make () in
-      let serial = Router.reroute st1 j1 in
-      let p1, s1 = run_parallel ~workers:1 st2 j2 in
-      let p3, s3 = run_parallel ~workers:3 st3 j3 in
-      serial = p1 && serial = p3
-      && Rs.snapshot st1 = Rs.snapshot st2
-      && Rs.snapshot st1 = Rs.snapshot st3
-      (* batch statistics are a function of the trajectory, not the pool *)
-      && s1 = s3
-      && s3.Par.s_conflicts = 0)
-
-let test_parallel_conflict_rate_zero () =
-  (* whole-design routing through the batched path: sound footprints mean
-     the commit-time claim check never trips on the example circuits *)
-  let st, _, _ = make_state ~n_cells:60 ~seed:3 ~tracks:12 () in
-  let stats = Par.fresh_stats () in
-  with_pool ~workers:4 (fun pool ->
-      let par = Par.create ~pool ~grain:2 st in
-      let j = J.create () in
-      let config = { Router.default_config with retry_cap = max_int } in
-      for _ = 1 to 3 do
-        ignore (Par.reroute ~config ~stats par j : int list)
-      done;
-      J.commit j);
-  check_ok st "batched whole-design routing";
-  Alcotest.(check int) "conflict-retry rate is zero on the example circuit" 0
-    stats.Par.s_conflicts;
-  Alcotest.(check int) "no conflict-forced serial retries" 0 stats.Par.s_retries;
-  Alcotest.(check bool) "planner actually produced multi-net batches" true
-    (stats.Par.s_batches > 0 && stats.Par.s_max_batch > 1);
-  (* and the result is the state serial route_all reaches *)
-  let st2, _, _ = make_state ~n_cells:60 ~seed:3 ~tracks:12 () in
-  Router.route_all st2;
-  Alcotest.(check bool) "batched multi-pass equals serial route_all" true
-    (Rs.snapshot st = Rs.snapshot st2)
-
-let test_commit_detects_injected_conflict () =
-  (* adversarial injection: two plans computed against the same empty
-     fabric that claim the same vertical run; the commit must claim the
-     first, flag the second, and recover it through a serial retry *)
-  let st, _, _ = make_state ~n_cells:40 ~seed:1 ~tracks:10 () in
-  let queue = Router.ordered_global_queue Router.default_config st in
-  let plans = List.filter_map (fun net -> Option.map (fun p -> (net, p)) (Gr.plan st net)) queue in
-  let collides (a : Rs.vroute) (b : Rs.vroute) =
-    a.Rs.v_col = b.Rs.v_col && a.Rs.v_vtrack = b.Rs.v_vtrack
-    && a.Rs.v_slo <= b.Rs.v_shi && b.Rs.v_slo <= a.Rs.v_shi
-  in
-  let rec find_pair = function
-    | [] -> None
-    | (na, pa) :: rest -> (
-      match List.find_opt (fun (_, pb) -> collides pa pb) rest with
-      | Some (nb, pb) -> Some ((na, pa), (nb, pb))
-      | None -> find_pair rest)
-  in
-  match find_pair plans with
-  | None -> Alcotest.fail "expected a colliding plan pair on the empty fabric"
-  | Some ((na, pa), (nb, pb)) ->
-    let par = Par.create st in
-    let stats = Par.fresh_stats () in
-    let j = J.create () in
-    let routed = Par.commit_global ~stats par j [| (na, Some pa); (nb, Some pb) |] in
-    Alcotest.(check int) "one commit-time conflict detected" 1 stats.Par.s_conflicts;
-    Alcotest.(check int) "one conflict-forced serial retry" 1 stats.Par.s_retries;
-    Alcotest.(check bool) "first plan committed as planned" true (List.mem na routed);
-    check_ok st "state stays valid after conflict recovery";
-    J.rollback j;
-    check_ok st "conflict recovery rolls back cleanly"
-
-(* --- determinism across --route-workers -------------------------------
-   The headline contract: the worker count is an execution strategy, not
-   an input. Fixed-seed whole-tool runs at workers 1/2/4 must produce
-   byte-identical masked traces (all trajectory data: temps, counters,
-   accepts) and identical final unrouted counts; a run killed mid-anneal
-   and resumed under a different worker count must land exactly where
-   the uninterrupted run lands. *)
-
-module Tool = Spr_core.Tool
-module Engine = Spr_anneal.Engine
-module Trace = Spr_obs.Trace
-
-let masked_lines events =
-  String.concat "\n" (List.map (fun e -> Trace.encode_line (Trace.mask_times e)) events)
-
-let rec rmrf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rmrf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let workers_preset ~seed =
-  let nl = Gen.generate (Gen.default ~n_cells:48) ~seed in
-  let arch = Arch.size_for ~tracks:18 nl in
-  let n = Nl.n_cells nl in
-  let config workers =
-    Tool.Config.(
-      default |> with_seed seed
-      |> with_anneal
-           {
-             (Engine.default_config ~n) with
-             Engine.moves_per_temp = max 150 (2 * n);
-             warmup_moves = 150;
-             max_temperatures = 10;
-           }
-      |> with_trace_recording true
-      |> with_route_workers workers)
-  in
-  (arch, nl, config)
-
-let test_workers_masked_traces_identical () =
-  let arch, nl, config = workers_preset ~seed:21 in
-  let run workers =
-    let config = config workers in
-    let r = Tool.run_exn ~config arch nl in
-    (masked_lines (Tool.trace_events ~config nl r), r.Tool.g, r.Tool.d)
-  in
-  let t1, g1, d1 = run 1 in
-  let t2, g2, d2 = run 2 in
-  let t4, g4, d4 = run 4 in
-  Alcotest.(check bool) "non-trivial trace" true (String.length t1 > 0);
-  Alcotest.(check bool) "workers 1 == 2: masked traces byte-identical" true (t1 = t2);
-  Alcotest.(check bool) "workers 1 == 4: masked traces byte-identical" true (t1 = t4);
-  Alcotest.(check int) "workers 2: same final global unrouted" g1 g2;
-  Alcotest.(check int) "workers 2: same final detail unrouted" d1 d2;
-  Alcotest.(check int) "workers 4: same final global unrouted" g1 g4;
-  Alcotest.(check int) "workers 4: same final detail unrouted" d1 d4
-
-let test_workers_kill_resume () =
-  let arch, nl, config = workers_preset ~seed:22 in
-  let ref_dir = "route-workers-ref" and dir = "route-workers-crash" in
-  rmrf ref_dir;
-  rmrf dir;
-  Fun.protect
-    ~finally:(fun () ->
-      rmrf ref_dir;
-      rmrf dir)
-    (fun () ->
-      (* Uninterrupted reference under 2 workers; it also checkpoints so
-         both runs canonicalize timing at the same boundaries. *)
-      let reference =
-        Tool.run_exn ~config:(Tool.Config.with_run_dir ref_dir (config 2)) arch nl
-      in
-      let stopped =
-        Tool.run_exn
-          ~config:
-            Tool.Config.(
-              (* Late enough that at least one temperature-boundary
-                 snapshot exists, early enough to cut the run short. *)
-              config 2 |> with_run_dir dir |> with_final_checkpoint false
-              |> with_stop_after_accepted 300)
-          arch nl
-      in
-      Alcotest.(check bool) "run was interrupted mid-anneal" true
-        (stopped.Tool.status <> Tool.Completed);
-      (* Resume under a different worker count: neither the kill nor the
-         pool size may show in the final state. *)
-      let resume_config = Tool.Config.with_run_dir dir (config 4) in
-      let resumed =
-        match Spr_core.Checkpoint.V2.load_latest nl ~dir with
-        | Error e -> Alcotest.failf "no snapshot to resume from: %s" e
-        | Ok loaded -> Tool.run_exn ~config:resume_config ~resume:loaded arch nl
-      in
-      Alcotest.(check bool) "resumed run completed" true
-        (resumed.Tool.status = Tool.Completed);
-      Alcotest.(check bool) "kill+resume matches uninterrupted layout" true
-        (Rs.snapshot resumed.Tool.route = Rs.snapshot reference.Tool.route);
-      Alcotest.(check int) "same global unrouted" reference.Tool.g resumed.Tool.g;
-      Alcotest.(check int) "same detail unrouted" reference.Tool.d resumed.Tool.d;
-      Alcotest.(check bool) "same critical delay" true
-        (reference.Tool.critical_delay = resumed.Tool.critical_delay))
-
 (* --- Route_stats --- *)
 
 let test_stats_consistency () =
@@ -684,21 +443,6 @@ let () =
           Alcotest.test_case "empty state" `Quick test_stats_empty_state;
           Alcotest.test_case "wirelength vs ownership" `Quick
             test_stats_wirelength_matches_ownership;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "conflict footprints" `Quick test_conflict_footprints;
-          Alcotest.test_case "batch planner" `Quick test_plan_batches;
-          Alcotest.test_case "canonical conflict-retry order" `Quick test_retry_order_canonical;
-          Alcotest.test_case "conflict-retry rate zero on example" `Quick
-            test_parallel_conflict_rate_zero;
-          Alcotest.test_case "masked traces identical across workers 1/2/4" `Slow
-            test_workers_masked_traces_identical;
-          Alcotest.test_case "kill+resume under workers == uninterrupted" `Slow
-            test_workers_kill_resume;
-          Alcotest.test_case "commit detects injected conflict" `Quick
-            test_commit_detects_injected_conflict;
-          qtest test_parallel_equals_serial;
         ] );
       ( "incremental",
         [

@@ -3,10 +3,10 @@ module Pqueue = Spr_util.Pqueue
 module Interval = Spr_util.Interval
 module Stats = Spr_util.Stats
 module Journal = Spr_util.Journal
-module Union_find = Spr_util.Union_find
 module Table = Spr_util.Table
 module Bitset = Spr_util.Bitset
 module Iqueue = Spr_util.Iqueue
+module Persist = Spr_util.Persist
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -150,25 +150,6 @@ let test_pqueue_grows () =
   done;
   Alcotest.(check (option (pair int int))) "min of 1000" (Some (1, 1)) (Pqueue.pop_min q);
   Alcotest.(check int) "999 left" 999 (Pqueue.length q)
-
-(* --- Union_find --- *)
-
-let test_union_find_basic () =
-  let uf = Union_find.create 6 in
-  Alcotest.(check int) "initial sets" 6 (Union_find.count uf);
-  Union_find.union uf 0 1;
-  Union_find.union uf 2 3;
-  Union_find.union uf 1 2;
-  Alcotest.(check bool) "0~3" true (Union_find.same uf 0 3);
-  Alcotest.(check bool) "0!~4" false (Union_find.same uf 0 4);
-  Alcotest.(check int) "sets after unions" 3 (Union_find.count uf)
-
-let test_union_find_idempotent () =
-  let uf = Union_find.create 3 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 0;
-  Alcotest.(check int) "repeat unions" 2 (Union_find.count uf)
 
 (* --- Interval --- *)
 
@@ -376,6 +357,44 @@ let test_iqueue_rollback =
       (match Iqueue.check q with Ok () -> () | Error e -> QCheck.Test.fail_report e);
       List.map (fun id -> (id, Iqueue.key q id)) (Iqueue.to_list q) = before)
 
+(* --- Persist --- *)
+
+(* Two domains race to create the same fresh directory, many times over:
+   whichever loses the exists-check/mkdir race must still return
+   normally, since a directory is what it asked for. *)
+let test_ensure_dir_race () =
+  let parent = Filename.temp_dir "spr-ensure-dir" "" in
+  let rounds = 200 in
+  let path i = Filename.concat parent (string_of_int i) in
+  let create () =
+    for i = 0 to rounds - 1 do
+      Persist.ensure_dir (path i)
+    done
+  in
+  let capture f = match f () with () -> Ok () | exception e -> Error e in
+  let other = Domain.spawn create in
+  let mine = capture create in
+  let theirs = capture (fun () -> Domain.join other) in
+  for i = 0 to rounds - 1 do
+    if Sys.file_exists (path i) then Sys.rmdir (path i)
+  done;
+  Sys.rmdir parent;
+  let check who = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s domain: %s" who (Printexc.to_string e)
+  in
+  check "main" mine;
+  check "spawned" theirs
+
+let test_ensure_dir_rejects_file () =
+  let file = Filename.temp_file "spr-ensure-dir" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      match Persist.ensure_dir file with
+      | () -> Alcotest.fail "a regular file was accepted as a directory"
+      | exception Invalid_argument _ -> ())
+
 (* --- Table --- *)
 
 let test_table_render () =
@@ -417,11 +436,6 @@ let () =
           Alcotest.test_case "growth" `Quick test_pqueue_grows;
           qtest test_pqueue_ordering;
         ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_union_find_basic;
-          Alcotest.test_case "idempotent unions" `Quick test_union_find_idempotent;
-        ] );
       ( "interval",
         [
           Alcotest.test_case "basics" `Quick test_interval_basic;
@@ -449,6 +463,11 @@ let () =
           Alcotest.test_case "retry order" `Quick test_iqueue_ordering;
           qtest test_iqueue_canonical;
           qtest test_iqueue_rollback;
+        ] );
+      ( "ensure_dir",
+        [
+          Alcotest.test_case "tolerates a racing creator" `Quick test_ensure_dir_race;
+          Alcotest.test_case "rejects a regular file" `Quick test_ensure_dir_rejects_file;
         ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
     ]
