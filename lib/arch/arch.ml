@@ -11,6 +11,7 @@ type t = {
   hscheme : Segmentation.scheme;
   hsegs : Spr_util.Interval.t array array array;
   vsegs : Spr_util.Interval.t array array array;
+  avg_hseg : float;
 }
 
 (* Stagger vertical cut positions with column and track so that spine
@@ -57,7 +58,8 @@ let create ~rows ~cols ~tracks ?(hscheme = Segmentation.Actel_like) ?(vtracks = 
         Array.init vtracks (fun vtrack ->
             vertical_track ~n_channels ~col ~vtrack vschemes.(vtrack)))
   in
-  { rows; cols; tracks; vtracks; n_channels; hscheme; hsegs; vsegs }
+  let avg_hseg = Segmentation.average_segment_length hscheme ~cols ~tracks in
+  { rows; cols; tracks; vtracks; n_channels; hscheme; hsegs; vsegs; avg_hseg }
 
 let with_tracks t tracks =
   create ~rows:t.rows ~cols:t.cols ~tracks ~hscheme:t.hscheme ~vtracks:t.vtracks ()
@@ -88,33 +90,40 @@ let hsegments t ~channel ~track = t.hsegs.(channel).(track)
 
 let vsegments t ~col ~vtrack = t.vsegs.(col).(vtrack)
 
-(* Segments partition their extent, so covering [span] means locating the
-   segment containing [span.lo] and walking right to the one containing
-   [span.hi]. *)
-let find_cover segs (span : Spr_util.Interval.t) =
+(* Segments partition their extent, so covering [lo, hi] means locating
+   the segment containing [lo] (binary search) and walking right to the
+   one containing [hi]. Both searches are plain loops over the array: the
+   routers probe a cover per track per candidate, so neither may
+   allocate. *)
+let cover_start segs ~lo ~hi =
   let n = Array.length segs in
-  if n = 0 then None
-  else if span.Spr_util.Interval.lo < segs.(0).Spr_util.Interval.lo
-          || span.Spr_util.Interval.hi > segs.(n - 1).Spr_util.Interval.hi
-  then None
+  if n = 0 || lo < segs.(0).Spr_util.Interval.lo || hi > segs.(n - 1).Spr_util.Interval.hi then
+    -1
   else begin
-    (* Binary search for the segment containing span.lo. *)
-    let rec search lo hi =
-      let mid = (lo + hi) / 2 in
+    let a = ref 0 and b = ref (n - 1) and found = ref (-1) in
+    while !found < 0 do
+      let mid = (!a + !b) / 2 in
       let s = segs.(mid) in
-      if Spr_util.Interval.contains s span.Spr_util.Interval.lo then mid
-      else if span.Spr_util.Interval.lo < s.Spr_util.Interval.lo then search lo (mid - 1)
-      else search (mid + 1) hi
-    in
-    let first = search 0 (n - 1) in
-    let rec extend i =
-      if segs.(i).Spr_util.Interval.hi >= span.Spr_util.Interval.hi then i else extend (i + 1)
-    in
-    Some (first, extend first)
+      if Spr_util.Interval.contains s lo then found := mid
+      else if lo < s.Spr_util.Interval.lo then b := mid - 1
+      else a := mid + 1
+    done;
+    !found
   end
 
-let avg_hseg_length t =
-  Segmentation.average_segment_length t.hscheme ~cols:t.cols ~tracks:t.tracks
+let cover_end segs first ~hi =
+  let i = ref first in
+  while segs.(!i).Spr_util.Interval.hi < hi do
+    incr i
+  done;
+  !i
+
+let find_cover segs (span : Spr_util.Interval.t) =
+  let lo = span.Spr_util.Interval.lo and hi = span.Spr_util.Interval.hi in
+  let first = cover_start segs ~lo ~hi in
+  if first < 0 then None else Some (first, cover_end segs first ~hi)
+
+let avg_hseg_length t = t.avg_hseg
 
 (* Taller fabrics have more channels to cross, so feedthrough demand per
    column grows with the row count; real antifuse families scale their

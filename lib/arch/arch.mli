@@ -22,6 +22,7 @@ type t = private {
       (** [hsegs.(channel).(track)] partitions columns [\[0, cols-1\]]. *)
   vsegs : Spr_util.Interval.t array array array;
       (** [vsegs.(col).(vtrack)] partitions channels [\[0, rows\]]. *)
+  avg_hseg : float;  (** {!avg_hseg_length}, computed once at creation. *)
 }
 
 val create :
@@ -60,10 +61,22 @@ val hsegments : t -> channel:int -> track:int -> Spr_util.Interval.t array
 
 val vsegments : t -> col:int -> vtrack:int -> Spr_util.Interval.t array
 
+val cover_start : Spr_util.Interval.t array -> lo:int -> hi:int -> int
+(** [cover_start segs ~lo ~hi] is the index of the first of the
+    consecutive segments of a partition that together cover [\[lo, hi\]]
+    (the segment containing [lo]), or [-1] when the span exceeds the
+    partition's extent. Allocates nothing. *)
+
+val cover_end : Spr_util.Interval.t array -> int -> hi:int -> int
+(** [cover_end segs first ~hi] is the index of the last segment of the
+    cover that starts at [first] (the segment containing [hi]).
+    [first] must come from {!cover_start} with the same [hi]. *)
+
 val find_cover : Spr_util.Interval.t array -> Spr_util.Interval.t -> (int * int) option
 (** [find_cover segs span] returns the index range [(lo, hi)] of the
     consecutive segments of a partition that together cover [span], or
-    [None] when [span] exceeds the partition's extent. *)
+    [None] when [span] exceeds the partition's extent. A wrapper over
+    {!cover_start} and {!cover_end}. *)
 
 val avg_hseg_length : t -> float
 

@@ -313,11 +313,18 @@ module V2 = struct
         (* Profiled samples append a count plus that many per-phase hex
            floats; unprofiled samples keep the legacy 8-field shape, so
            pre-profiling checkpoints re-encode byte-identically. *)
+        let group = function
+          | [||] -> ""
+          | xs ->
+            Printf.sprintf " %d %s" (Array.length xs)
+              (String.concat " " (Array.to_list (Array.map f2h xs)))
+        in
+        (* Allocation data follows the phase times as a second counted
+           group, absent when empty. *)
         let phases =
-          match Array.to_list s.Dynamics.phase_seconds with
-          | [] -> ""
-          | ps ->
-            Printf.sprintf " %d %s" (List.length ps) (String.concat " " (List.map f2h ps))
+          match s.Dynamics.phase_seconds with
+          | [||] -> ""
+          | ps -> group ps ^ group s.Dynamics.phase_words
         in
         add "dynsample %d %s %s %s %s %s %s %s%s\n" s.Dynamics.dyn_temp_index
           (f2h s.Dynamics.dyn_temperature) (f2h s.Dynamics.pct_cells_perturbed)
@@ -573,18 +580,16 @@ module V2 = struct
               let* acceptance = float_ a in
               let* cost = float_ c in
               let* critical_delay = float_ cd in
-              (* Legacy 8-field lines carry no phase data; extended lines
-                 append a count then that many hex floats. *)
-              let* phase_seconds =
-                match rest with
-                | [] -> Ok [||]
+              let read_group = function
+                | [] -> Ok ([||], [])
                 | n :: vals ->
                   let* n = int_ n in
-                  if List.length vals <> n then Error "bad dynsample phase count"
+                  if n < 0 || List.length vals < n then Error "bad dynsample phase count"
                   else begin
                     let arr = Array.make n 0.0 in
                     let rec fill i = function
-                      | [] -> Ok arr
+                      | tl when i = n -> Ok (arr, tl)
+                      | [] -> Error "bad dynsample phase count"
                       | v :: tl ->
                         let* f = float_ v in
                         arr.(i) <- f;
@@ -593,6 +598,12 @@ module V2 = struct
                     fill 0 vals
                   end
               in
+              (* Legacy 8-field lines carry no phase data; extended lines
+                 append a count then that many hex floats, for the phase
+                 times and then for the phase allocations. *)
+              let* phase_seconds, rest = read_group rest in
+              let* phase_words, rest = read_group rest in
+              let* () = if rest = [] then Ok () else Error "bad dynsample phase count" in
               Ok
                 {
                   Dynamics.dyn_temp_index;
@@ -604,6 +615,7 @@ module V2 = struct
                   cost;
                   critical_delay;
                   phase_seconds;
+                  phase_words;
                 }
             | _ -> Error "bad dynsample record")
         in

@@ -8,6 +8,7 @@ type sample = {
   cost : float;
   critical_delay : float;
   phase_seconds : float array;  (* indexed by Profile.phase_index; [||] when unprofiled *)
+  phase_words : float array;  (* minor words per move, same indexing and absence rule *)
 }
 
 type t = {
@@ -28,8 +29,8 @@ let note_accepted_cells t cells =
       end)
     cells
 
-let flush ?(phase_seconds = [||]) t ~temp_index ~temperature ~g_frac ~d_frac ~acceptance
-    ~cost ~critical_delay =
+let flush ?(phase_seconds = [||]) ?(phase_words = [||]) t ~temp_index ~temperature ~g_frac
+    ~d_frac ~acceptance ~cost ~critical_delay =
   let sample =
     {
       dyn_temp_index = temp_index;
@@ -41,6 +42,7 @@ let flush ?(phase_seconds = [||]) t ~temp_index ~temperature ~g_frac ~d_frac ~ac
       cost;
       critical_delay;
       phase_seconds;
+      phase_words;
     }
   in
   t.acc <- sample :: t.acc;
@@ -63,6 +65,13 @@ let restore ~n_cells ~flags ~samples =
 
 (* A sample and a report dynamics row carry the same data; the report
    row names its phase columns instead of relying on Profile's index. *)
+let named_phases values =
+  if Array.length values <> Profile.n_phases then []
+  else List.map (fun p -> (Profile.phase_name p, values.(Profile.phase_index p))) Profile.phases
+
+let indexed_phases named =
+  if List.length named <> Profile.n_phases then [||] else Array.of_list (List.map snd named)
+
 let to_row s =
   {
     Spr_obs.Report.dr_temp_index = s.dyn_temp_index;
@@ -73,9 +82,8 @@ let to_row s =
     dr_acceptance = s.acceptance;
     dr_cost = s.cost;
     dr_delay_ns = s.critical_delay;
-    dr_phase_seconds =
-      (if Array.length s.phase_seconds <> Profile.n_phases then []
-       else List.map (fun p -> (Profile.phase_name p, s.phase_seconds.(Profile.phase_index p))) Profile.phases);
+    dr_phase_seconds = named_phases s.phase_seconds;
+    dr_phase_words = named_phases s.phase_words;
   }
 
 let of_row (r : Spr_obs.Report.dyn_row) =
@@ -88,9 +96,8 @@ let of_row (r : Spr_obs.Report.dyn_row) =
     acceptance = r.dr_acceptance;
     cost = r.dr_cost;
     critical_delay = r.dr_delay_ns;
-    phase_seconds =
-      (if List.length r.dr_phase_seconds <> Profile.n_phases then [||]
-       else Array.of_list (List.map snd r.dr_phase_seconds));
+    phase_seconds = indexed_phases r.dr_phase_seconds;
+    phase_words = indexed_phases r.dr_phase_words;
   }
 
 let rows t = List.map to_row (samples t)

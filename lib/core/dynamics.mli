@@ -20,6 +20,10 @@ type sample = {
           temperature, indexed by {!Profile.phase_index}; [[||]] for
           samples recorded without profiling (e.g. decoded from a legacy
           checkpoint). *)
+  phase_words : float array;
+      (** Minor-heap words per move allocated in each phase during this
+          temperature; same indexing, [[||]] under the same conditions
+          and for checkpoints written before allocation was tracked. *)
 }
 
 type t
@@ -31,6 +35,7 @@ val note_accepted_cells : t -> int list -> unit
 
 val flush :
   ?phase_seconds:float array ->
+  ?phase_words:float array ->
   t ->
   temp_index:int ->
   temperature:float ->
@@ -43,7 +48,8 @@ val flush :
 (** Close the current temperature: append a sample and reset the
     perturbation marks. [phase_seconds] (default [[||]]) is the
     per-phase time spent inside move transactions at this temperature,
-    from {!Profile.since}. *)
+    from {!Profile.since}; [phase_words] (default [[||]]) the per-phase
+    minor words per move over the same span. *)
 
 val samples : t -> sample list
 (** In temperature order. *)

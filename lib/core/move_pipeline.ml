@@ -137,9 +137,11 @@ let propose t rng =
 
 let decide t f =
   let t0 = Clock.now () in
+  let w0 = Gc.minor_words () in
   f ();
+  let w1 = Gc.minor_words () in
   let dt = Clock.now () -. t0 in
-  Profile.record t.profile Profile.Decide dt;
+  Profile.record t.profile Profile.Decide ~seconds:dt ~words:(w1 -. w0);
   Profile.add_total t.profile dt
 
 let accept t =

@@ -31,6 +31,7 @@ let phase_name = function
 type t = {
   reg : Metrics.t;
   phase_times : Metrics.gauge array;  (* cumulative seconds per phase *)
+  phase_words : Metrics.gauge array;  (* cumulative minor-heap words per phase *)
   phase_calls : Metrics.counter array;  (* timed brackets per phase *)
   counters : Spr_route.Router.counters;
   m_global_attempts : Metrics.counter;
@@ -52,6 +53,12 @@ let create () =
     Array.of_list
       (List.map (fun p -> Metrics.gauge reg ("pipeline.phase." ^ phase_name p ^ ".seconds")) phases)
   in
+  let phase_words =
+    Array.of_list
+      (List.map
+         (fun p -> Metrics.gauge reg ("pipeline.phase." ^ phase_name p ^ ".minor_words"))
+         phases)
+  in
   let phase_calls =
     Array.of_list
       (List.map (fun p -> Metrics.counter reg ("pipeline.phase." ^ phase_name p ^ ".calls")) phases)
@@ -59,6 +66,7 @@ let create () =
   {
     reg;
     phase_times;
+    phase_words;
     phase_calls;
     counters = Spr_route.Router.fresh_counters ();
     m_moves = Metrics.counter reg "pipeline.moves";
@@ -106,15 +114,22 @@ let absorb t other =
     c.Spr_route.Router.c_detail_routed + oc.Spr_route.Router.c_detail_routed;
   sync_mirrors t
 
-let record t phase dt =
+let record t phase ~seconds ~words =
   let i = phase_index phase in
-  Metrics.gauge_add t.phase_times.(i) dt;
+  Metrics.gauge_add t.phase_times.(i) seconds;
+  Metrics.gauge_add t.phase_words.(i) words;
   Metrics.incr t.phase_calls.(i)
 
+(* [Gc.minor_words] counts the calling domain's allocations only, so a
+   replica's brackets never see another domain's garbage. The word
+   reads sit inside the clock reads, so the boxed clock values do not
+   count against the phase. *)
 let time t phase f =
   let t0 = Spr_util.Clock.now () in
+  let w0 = Gc.minor_words () in
   let r = f () in
-  record t phase (Spr_util.Clock.now () -. t0);
+  let w1 = Gc.minor_words () in
+  record t phase ~seconds:(Spr_util.Clock.now () -. t0) ~words:(w1 -. w0);
   r
 
 let add_total t dt = Metrics.gauge_add t.m_total dt
@@ -124,6 +139,10 @@ let counters t = t.counters
 let phase_seconds t phase = Metrics.gauge_value t.phase_times.(phase_index phase)
 
 let phase_calls t phase = Metrics.counter_value t.phase_calls.(phase_index phase)
+
+let phase_words t phase = Metrics.gauge_value t.phase_words.(phase_index phase)
+
+let total_words t = Array.fold_left (fun acc g -> acc +. Metrics.gauge_value g) 0.0 t.phase_words
 
 let total_seconds t = Metrics.gauge_value t.m_total
 
@@ -149,19 +168,36 @@ let coverage t =
 
 (* Per-temperature deltas: capture the cumulative cells at a batch
    boundary and subtract at the next one. *)
-type mark = { mark_times : float array; mark_total : float; mark_moves : int }
+type mark = {
+  mark_times : float array;
+  mark_words : float array;
+  mark_total : float;
+  mark_moves : int;
+}
 
 let mark t =
   {
     mark_times = Array.map Metrics.gauge_value t.phase_times;
+    mark_words = Array.map Metrics.gauge_value t.phase_words;
     mark_total = total_seconds t;
     mark_moves = t_moves t;
   }
 
+type delta = {
+  d_phase_seconds : float array;
+  d_phase_words : float array;
+  d_move_seconds : float;
+  d_moves : int;
+}
+
 let since t m =
-  ( Array.mapi (fun i g -> Metrics.gauge_value g -. m.mark_times.(i)) t.phase_times,
-    total_seconds t -. m.mark_total,
-    t_moves t - m.mark_moves )
+  let diff gauges marked = Array.mapi (fun i g -> Metrics.gauge_value g -. marked.(i)) gauges in
+  {
+    d_phase_seconds = diff t.phase_times m.mark_times;
+    d_phase_words = diff t.phase_words m.mark_words;
+    d_move_seconds = total_seconds t -. m.mark_total;
+    d_moves = t_moves t - m.mark_moves;
+  }
 
 let to_pipeline t =
   let c = t.counters in
@@ -180,12 +216,15 @@ let to_pipeline t =
             Spr_obs.Report.ph_name = phase_name p;
             ph_seconds = phase_seconds t p;
             ph_calls = phase_calls t p;
+            ph_words = phase_words t p;
           })
         phases;
     pl_global_attempts = c.Spr_route.Router.c_global_attempts;
     pl_global_routed = c.Spr_route.Router.c_global_routed;
     pl_detail_attempts = c.Spr_route.Router.c_detail_attempts;
     pl_detail_routed = c.Spr_route.Router.c_detail_routed;
+    pl_minor_collections = 0;
+    pl_major_collections = 0;
   }
 
 let pp ppf t =
@@ -193,16 +232,17 @@ let pp ppf t =
   let moves = t_moves t in
   Format.fprintf ppf "move pipeline: %d moves (%d null proposals), %d accepted, %d rejected@."
     moves (t_null_moves t) (t_accepts t) (t_rejects t);
-  Format.fprintf ppf "%-16s %12s %10s %12s@." "phase" "time(ms)" "calls" "ns/move";
-  let per_move s = if moves = 0 then 0.0 else s *. 1e9 /. float_of_int moves in
+  Format.fprintf ppf "%-16s %12s %10s %12s %12s@." "phase" "time(ms)" "calls" "ns/move"
+    "words/move";
+  let per_move x = if moves = 0 then 0.0 else x /. float_of_int moves in
   List.iter
     (fun p ->
       let s = phase_seconds t p in
-      Format.fprintf ppf "%-16s %12.2f %10d %12.0f@." (phase_name p) (s *. 1e3)
-        (phase_calls t p) (per_move s))
+      Format.fprintf ppf "%-16s %12.2f %10d %12.0f %12.0f@." (phase_name p) (s *. 1e3)
+        (phase_calls t p) (per_move (s *. 1e9)) (per_move (phase_words t p)))
     phases;
-  Format.fprintf ppf "%-16s %12.2f %10d %12.0f@." "total" (total_seconds t *. 1e3) moves
-    (per_move (total_seconds t));
+  Format.fprintf ppf "%-16s %12.2f %10d %12.0f %12.0f@." "total" (total_seconds t *. 1e3) moves
+    (per_move (total_seconds t *. 1e9)) (per_move (total_words t));
   Format.fprintf ppf "phase coverage: %.1f%% of bracketed move time@." (100.0 *. coverage t);
   Format.fprintf ppf
     "counters: ripped %d nets, global %d/%d routed/attempted, detail %d/%d, retimed %d nets@."

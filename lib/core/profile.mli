@@ -1,5 +1,5 @@
-(** Per-phase wall-clock and counter instrumentation for the move
-    pipeline.
+(** Per-phase wall-clock, allocation and counter instrumentation for the
+    move pipeline.
 
     One {!t} accumulates over a whole annealing run; each
     {!Move_pipeline} phase brackets itself with {!time}, so the phase
@@ -7,7 +7,8 @@
     remainder is inter-phase bookkeeping. {!mark}/{!since} give
     per-temperature deltas for the dynamics trace. Timing uses the
     monotonic-guarded {!Spr_util.Clock}, costing two clock reads per
-    phase per move.
+    phase per move; allocation uses [Gc.minor_words], two more reads
+    that allocate nothing.
 
     Since the observability layer landed this is a facade over a
     {!Spr_obs.Metrics} registry — every tally and phase clock is a
@@ -38,11 +39,13 @@ val absorb : t -> t -> unit
     merges per-replica profiles into one fleet-wide breakdown with
     this. *)
 
-val record : t -> phase -> float -> unit
-(** Add [dt] seconds (and one call) to a phase. *)
+val record : t -> phase -> seconds:float -> words:float -> unit
+(** Add [seconds], [words] minor-heap words and one call to a phase. *)
 
 val time : t -> phase -> (unit -> 'a) -> 'a
-(** Run the thunk inside a phase bracket. *)
+(** Run the thunk inside a phase bracket, charging its wall time and the
+    minor words it allocated ([Gc.minor_words], which counts the calling
+    domain only) to the phase. *)
 
 val add_total : t -> float -> unit
 (** Add to the whole-move wall clock (the denominator of
@@ -56,6 +59,9 @@ val phase_seconds : t -> phase -> float
 
 val phase_calls : t -> phase -> int
 
+val phase_words : t -> phase -> float
+(** Minor-heap words allocated inside the phase's brackets. *)
+
 val total_seconds : t -> float
 
 val phase_sum : t -> float
@@ -68,9 +74,15 @@ type mark
 
 val mark : t -> mark
 
-val since : t -> mark -> float array * float * int
-(** [(per-phase seconds, total seconds, moves)] accumulated since the
-    mark; the array is indexed by {!phase_index}. *)
+type delta = {
+  d_phase_seconds : float array;  (** indexed by {!phase_index} *)
+  d_phase_words : float array;  (** minor words, indexed by {!phase_index} *)
+  d_move_seconds : float;
+  d_moves : int;
+}
+
+val since : t -> mark -> delta
+(** What accumulated since the mark. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable per-phase breakdown with counters. *)
@@ -87,7 +99,9 @@ val metrics_snapshot : t -> (string * Spr_obs.Metrics.value) list
     refreshed from the raw {!counters} record first. *)
 
 val to_pipeline : t -> Spr_obs.Report.pipeline
-(** The move-pipeline summary block of the unified run report. *)
+(** The move-pipeline summary block of the unified run report. Its GC
+    collection counts are 0: collections are counted fleet-wide, so the
+    run that owns the fleet fills them in. *)
 
 (** {1 Mutable tallies}
 

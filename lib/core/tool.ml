@@ -625,7 +625,8 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
   let on_temperature (ts : Spr_anneal.Engine.temp_stats) =
     Spr_anneal.Weights.adapt s.weights;
     if config.validation.validate then validate_now s;
-    let phase_seconds, move_seconds, moves = Profile.since profile !batch_mark in
+    let delta = Profile.since profile !batch_mark in
+    let phase_seconds = delta.Profile.d_phase_seconds in
     batch_mark := Profile.mark profile;
     Log.debug (fun m ->
         m "temp %d T=%.4g acc=%d/%d G=%d D=%d delay=%.2fns"
@@ -641,16 +642,21 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
                   Printf.sprintf "%s %.1fms" (Profile.phase_name p)
                     (1e3 *. phase_seconds.(Profile.phase_index p)))
                 Profile.phases))
-          (1e3 *. move_seconds)
+          (1e3 *. delta.Profile.d_move_seconds)
           (1e3 *. ts.Spr_anneal.Engine.batch_seconds)
-          moves);
+          delta.Profile.d_moves);
     let acceptance =
       if ts.Spr_anneal.Engine.attempted = 0 then 0.0
       else
         float_of_int ts.Spr_anneal.Engine.accepted
         /. float_of_int ts.Spr_anneal.Engine.attempted
     in
-    Dynamics.flush s.dyn ~phase_seconds ~temp_index:ts.Spr_anneal.Engine.temp_index
+    let phase_words =
+      Array.map
+        (fun w -> w /. float_of_int (max 1 delta.Profile.d_moves))
+        delta.Profile.d_phase_words
+    in
+    Dynamics.flush s.dyn ~phase_seconds ~phase_words ~temp_index:ts.Spr_anneal.Engine.temp_index
       ~temperature:ts.Spr_anneal.Engine.temperature
       ~g_frac:(float_of_int (Rs.g_count s.rs) /. float_of_int n_routable)
       ~d_frac:(float_of_int (Rs.d_count s.rs) /. float_of_int n_routable)
@@ -831,7 +837,19 @@ let finalize ~(config : Config.t) rs sta =
   Router.route_all ~config:config.router ~passes:3 rs;
   Sta.full_update sta
 
+(* GC collections since [gc0]. OCaml 5 counts each collection once for
+   all domains (every domain stops for it), so the counts are
+   fleet-wide. *)
+let with_gc_counts (gc0 : Gc.stat) (pl : Spr_obs.Report.pipeline) =
+  let gc1 = Gc.quick_stat () in
+  {
+    pl with
+    Spr_obs.Report.pl_minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
+    pl_major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
+  }
+
 let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_start s =
+  let gc0 = Gc.quick_stat () in
   let nl = P.netlist s.place in
   let best =
     ref
@@ -895,7 +913,7 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
       r_exchange_rounds = 0;
       r_cpu_seconds = cpu_seconds;
       r_wall_seconds = cpu_seconds;
-      r_pipeline = Some (Profile.to_pipeline profile);
+      r_pipeline = Some (with_gc_counts gc0 (Profile.to_pipeline profile));
       r_route = Some (route_summary rs);
       r_dynamics = List.map Dynamics.to_row dynamics;
       r_metrics = Profile.metrics_snapshot profile;
@@ -1211,6 +1229,7 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
          re-raise it at any time. *)
       reset_interrupt ();
       let wall = Spr_util.Clock.start () in
+      let gc0 = Gc.quick_stat () in
       let sched =
         match config.parallel.scheduler.Config.kind with
         | `Barrier ->
@@ -1317,7 +1336,7 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
             r_cpu_seconds =
               Array.fold_left (fun acc (r : result) -> acc +. r.cpu_seconds) 0.0 results;
             r_wall_seconds = wall_seconds;
-            r_pipeline = Some (Profile.to_pipeline merged);
+            r_pipeline = Some (with_gc_counts gc0 (Profile.to_pipeline merged));
             r_metrics = Profile.metrics_snapshot merged;
           }
         in

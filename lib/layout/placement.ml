@@ -211,38 +211,36 @@ let set_pinmap t ~cell ~index =
 
 let pin_side t ~cell ~pin = t.palettes.(cell).(t.pinmap_idx.(cell)).(pin)
 
-(* Channel k runs below row k, channel k+1 above it. *)
+(* Channel k runs below row k, channel k+1 above it. Both read the
+   encoded slot directly rather than through a decoded [slot]. *)
 let pin_channel t ~cell ~pin =
-  let s = slot_of t cell in
+  let row = t.slot_of_cell.(cell) / t.arch.Spr_arch.Arch.cols in
   match pin_side t ~cell ~pin with
-  | Spr_netlist.Pinmap.Bottom -> s.row
-  | Spr_netlist.Pinmap.Top -> s.row + 1
+  | Spr_netlist.Pinmap.Bottom -> row
+  | Spr_netlist.Pinmap.Top -> row + 1
 
 let pin_col t ~cell ~pin =
   ignore pin;
-  (slot_of t cell).col
+  t.slot_of_cell.(cell) mod t.arch.Spr_arch.Arch.cols
 
 let compute_geom t net_id =
   let net = Spr_netlist.Netlist.net t.nl net_id in
   let driver = net.Spr_netlist.Netlist.driver in
   let out_pin = (Spr_netlist.Netlist.cell t.nl driver).Spr_netlist.Netlist.n_inputs in
-  let driver_pos =
-    (pin_channel t ~cell:driver ~pin:out_pin, pin_col t ~cell:driver ~pin:out_pin)
-  in
-  let pins =
-    driver_pos
-    :: Array.to_list
-         (Array.map
-            (fun (c, pin) -> (pin_channel t ~cell:c ~pin, pin_col t ~cell:c ~pin))
-            net.Spr_netlist.Netlist.sinks)
-  in
-  let ch, col = driver_pos in
-  let g_ch_lo, g_ch_hi, g_col_lo, g_col_hi =
-    List.fold_left
-      (fun (clo, chi, xlo, xhi) (c, x) -> (min clo c, max chi c, min xlo x, max xhi x))
-      (ch, ch, col, col) pins
-  in
-  { g_pins = pins; g_ch_lo; g_ch_hi; g_col_lo; g_col_hi }
+  let ch = pin_channel t ~cell:driver ~pin:out_pin and col = pin_col t ~cell:driver ~pin:out_pin in
+  let clo = ref ch and chi = ref ch and xlo = ref col and xhi = ref col in
+  let sinks = net.Spr_netlist.Netlist.sinks in
+  let rest = ref [] in
+  for i = Array.length sinks - 1 downto 0 do
+    let c, pin = sinks.(i) in
+    let sc = pin_channel t ~cell:c ~pin and sx = pin_col t ~cell:c ~pin in
+    clo := min !clo sc;
+    chi := max !chi sc;
+    xlo := min !xlo sx;
+    xhi := max !xhi sx;
+    rest := (sc, sx) :: !rest
+  done;
+  { g_pins = (ch, col) :: !rest; g_ch_lo = !clo; g_ch_hi = !chi; g_col_lo = !xlo; g_col_hi = !xhi }
 
 let geom t net_id =
   match t.geom_cache.(net_id) with

@@ -68,6 +68,19 @@ val net_pin_positions : t -> int -> (int * int) list
     {!set_pinmap} (which journal undo closures also call, so rollbacks
     invalidate exactly what they restore). *)
 
+type geom = private {
+  g_pins : (int * int) list;  (** {!net_pin_positions} *)
+  g_ch_lo : int;  (** lowest channel touched by a pin *)
+  g_ch_hi : int;
+  g_col_lo : int;  (** leftmost pin column *)
+  g_col_hi : int;
+}
+
+val geom : t -> int -> geom
+(** The net's memoized pin geometry: its pins and their bounding box.
+    Allocates only when the memo entry must be recomputed, so the
+    routers read bounding boxes through it on every attempt. *)
+
 val net_channel_span : t -> int -> (int * int) option
 (** [(lowest, highest)] channel touched by the net's terminals; [None]
     for nets with no terminals. *)

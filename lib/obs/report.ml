@@ -10,9 +10,10 @@ type dyn_row = {
   dr_cost : float;
   dr_delay_ns : float;
   dr_phase_seconds : (string * float) list;
+  dr_phase_words : (string * float) list;
 }
 
-type phase_row = { ph_name : string; ph_seconds : float; ph_calls : int }
+type phase_row = { ph_name : string; ph_seconds : float; ph_calls : int; ph_words : float }
 
 type pipeline = {
   pl_moves : int;
@@ -27,6 +28,8 @@ type pipeline = {
   pl_global_routed : int;
   pl_detail_attempts : int;
   pl_detail_routed : int;
+  pl_minor_collections : int;
+  pl_major_collections : int;
 }
 
 type channel_row = {
@@ -80,9 +83,16 @@ type t = {
 
 open Json
 
+(* Rows without allocation data keep the field set they had before
+   allocation was tracked. *)
 let dyn_row_to_json r =
+  let words =
+    match r.dr_phase_words with
+    | [] -> []
+    | ws -> [ ("phase_words_per_move", Obj (List.map (fun (k, v) -> (k, Float v)) ws)) ]
+  in
   Obj
-    [
+    ([
       ("temp_index", Int r.dr_temp_index);
       ("temperature", Float r.dr_temperature);
       ("pct_cells_perturbed", Float r.dr_pct_cells);
@@ -93,6 +103,7 @@ let dyn_row_to_json r =
       ("critical_delay_ns", Float r.dr_delay_ns);
       ("phase_seconds", Obj (List.map (fun (k, v) -> (k, Float v)) r.dr_phase_seconds));
     ]
+    @ words)
 
 let metrics_to_json ms =
   Obj
@@ -112,7 +123,13 @@ let metrics_to_json ms =
        ms)
 
 let phase_row_to_json p =
-  Obj [ ("name", String p.ph_name); ("seconds", Float p.ph_seconds); ("calls", Int p.ph_calls) ]
+  Obj
+    [
+      ("name", String p.ph_name);
+      ("seconds", Float p.ph_seconds);
+      ("calls", Int p.ph_calls);
+      ("minor_words", Float p.ph_words);
+    ]
 
 let pipeline_to_json p =
   Obj
@@ -129,6 +146,8 @@ let pipeline_to_json p =
       ("global_routed", Int p.pl_global_routed);
       ("detail_attempts", Int p.pl_detail_attempts);
       ("detail_routed", Int p.pl_detail_routed);
+      ("minor_collections", Int p.pl_minor_collections);
+      ("major_collections", Int p.pl_major_collections);
     ]
 
 let channel_to_json c =
@@ -220,6 +239,20 @@ let dfields obj name =
   | Obj fields -> fields
   | _ -> raise (Decode ("field " ^ name ^ ": expected object"))
 
+let phase_floats j name =
+  List.map
+    (fun (k, v) ->
+      match to_float v with
+      | Some f -> (k, f)
+      | None -> raise (Decode (name ^ "." ^ k ^ ": expected number")))
+    (dfields j name)
+
+(* Fields added after a format was first written decode as 0 when
+   absent, so older reports and traces still load. *)
+let dint_or_zero j name = match member name j with None -> 0 | Some _ -> dint j name
+
+let dfloat_or_zero j name = match member name j with None -> 0.0 | Some _ -> dfloat j name
+
 let dyn_row_decode j =
   {
     dr_temp_index = dint j "temp_index";
@@ -230,13 +263,11 @@ let dyn_row_decode j =
     dr_acceptance = dfloat j "acceptance";
     dr_cost = dfloat j "cost";
     dr_delay_ns = dfloat j "critical_delay_ns";
-    dr_phase_seconds =
-      List.map
-        (fun (k, v) ->
-          match to_float v with
-          | Some f -> (k, f)
-          | None -> raise (Decode ("phase_seconds." ^ k ^ ": expected number")))
-        (dfields j "phase_seconds");
+    dr_phase_seconds = phase_floats j "phase_seconds";
+    dr_phase_words =
+      (match member "phase_words_per_move" j with
+      | None -> []
+      | Some _ -> phase_floats j "phase_words_per_move");
   }
 
 let dyn_row_of_json j =
@@ -272,7 +303,12 @@ let metrics_of_json j =
   match metrics_decode j with ms -> Ok ms | exception Decode msg -> Error msg
 
 let phase_row_decode j =
-  { ph_name = dstr j "name"; ph_seconds = dfloat j "seconds"; ph_calls = dint j "calls" }
+  {
+    ph_name = dstr j "name";
+    ph_seconds = dfloat j "seconds";
+    ph_calls = dint j "calls";
+    ph_words = dfloat_or_zero j "minor_words";
+  }
 
 let pipeline_decode j =
   {
@@ -288,6 +324,8 @@ let pipeline_decode j =
     pl_global_routed = dint j "global_routed";
     pl_detail_attempts = dint j "detail_attempts";
     pl_detail_routed = dint j "detail_routed";
+    pl_minor_collections = dint_or_zero j "minor_collections";
+    pl_major_collections = dint_or_zero j "major_collections";
   }
 
 let channel_decode j =
@@ -347,13 +385,18 @@ let of_json j =
 (* Rendering — the one copy of the dynamics-table columns.             *)
 
 let render_dynamics ppf rows =
-  Format.fprintf ppf "%4s  %12s  %8s  %8s  %8s  %6s  %10s@."
-    "temp" "T" "%cells" "%G-unrt" "%unrt" "acc" "delay(ns)";
+  Format.fprintf ppf "%4s  %12s  %8s  %8s  %8s  %6s  %10s  %10s@."
+    "temp" "T" "%cells" "%G-unrt" "%unrt" "acc" "delay(ns)" "words/move";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%4d  %12.5g  %8.1f  %8.1f  %8.1f  %6.2f  %10.2f@."
+      let words =
+        match r.dr_phase_words with
+        | [] -> "-"
+        | ws -> Printf.sprintf "%.0f" (List.fold_left (fun acc (_, w) -> acc +. w) 0.0 ws)
+      in
+      Format.fprintf ppf "%4d  %12.5g  %8.1f  %8.1f  %8.1f  %6.2f  %10.2f  %10s@."
         r.dr_temp_index r.dr_temperature r.dr_pct_cells r.dr_pct_g_unrouted r.dr_pct_unrouted
-        r.dr_acceptance r.dr_delay_ns)
+        r.dr_acceptance r.dr_delay_ns words)
     rows
 
 let render_phase_series ppf ~phase_names rows =

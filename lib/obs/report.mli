@@ -22,11 +22,20 @@ type dyn_row = {
   dr_phase_seconds : (string * float) list;
       (** Move-pipeline seconds per phase (pipeline order); [[]] for
           rows recorded without profiling. *)
+  dr_phase_words : (string * float) list;
+      (** Minor-heap words per move, per phase, at this temperature;
+          [[]] for rows recorded without profiling or before allocation
+          was tracked. *)
 }
 
 (** {1 Move-pipeline summary} *)
 
-type phase_row = { ph_name : string; ph_seconds : float; ph_calls : int }
+type phase_row = {
+  ph_name : string;
+  ph_seconds : float;
+  ph_calls : int;
+  ph_words : float;  (** minor-heap words allocated in the phase; 0 in older reports *)
+}
 
 type pipeline = {
   pl_moves : int;
@@ -41,6 +50,10 @@ type pipeline = {
   pl_global_routed : int;
   pl_detail_attempts : int;
   pl_detail_routed : int;
+  pl_minor_collections : int;
+      (** Minor GCs during the run, fleet-wide (every domain stops for
+          each); 0 in older reports. *)
+  pl_major_collections : int;  (** Major GC cycles during the run; 0 in older reports. *)
 }
 
 (** {1 Routing summary} *)
@@ -117,7 +130,9 @@ val metrics_of_json : Json.t -> ((string * Metrics.value) list, string) Stdlib.r
     experiment tables all delegate here. *)
 
 val render_dynamics : Format.formatter -> dyn_row list -> unit
-(** The Figure-6 series as an aligned text table. *)
+(** The Figure-6 series as an aligned text table, plus the minor words
+    per move of each temperature ([-] for rows without allocation
+    data). *)
 
 val render_phase_series :
   Format.formatter -> phase_names:string list -> dyn_row list -> unit

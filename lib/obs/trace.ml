@@ -196,8 +196,8 @@ let mask_times { ev_replica; ev } =
       Temp
         {
           row with
-          Report.dr_phase_seconds =
-            List.map (fun (k, _) -> (k, 0.0)) row.Report.dr_phase_seconds;
+          Report.dr_phase_seconds = List.map (fun (k, _) -> (k, 0.0)) row.Report.dr_phase_seconds;
+          dr_phase_words = List.map (fun (k, _) -> (k, 0.0)) row.Report.dr_phase_words;
         }
     | Metrics_dump ms ->
       Metrics_dump

@@ -62,9 +62,11 @@ val encode_line : event -> string
 val decode_line : string -> (event, string) Stdlib.result
 
 val mask_times : event -> event
-(** Zero every wall-clock-derived field (span [t]/[dt], per-phase
-    seconds in dynamics rows, gauge values in metric dumps, run wall
-    seconds) so traces compare as strings across runs. *)
+(** Zero every measured field (span [t]/[dt], per-phase seconds and
+    minor words in dynamics rows, gauge values in metric dumps, run wall
+    seconds) so traces compare as strings across runs. Allocation counts
+    are measurements like times: they vary with the build and with what
+    ran before in the domain. *)
 
 (** {1 Files} *)
 

@@ -24,6 +24,7 @@ val best_track :
   channel:int ->
   span:Spr_util.Interval.t ->
   (int * int * int * float) option
-(** [best_track st ~channel ~span] is the feasibility core of {!attempt}:
-    the minimum-cost free run [(track, slo, shi, cost)] covering [span],
-    if any. Exposed for the sequential baseline and tests. *)
+(** [best_track st ~channel ~span] is the minimum-cost free run
+    [(track, slo, shi, cost)] covering [span], if any; ties go to the
+    lower track. A wrapper over the non-allocating search {!attempt}
+    runs, exposed for tests and the kernel bench. *)

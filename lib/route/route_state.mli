@@ -66,6 +66,13 @@ val h_demands : t -> int -> (int * Spr_util.Interval.t) list
 (** [(channel, span)] detailed-routing obligations; empty until the
     net's global route exists. *)
 
+val has_demand : t -> int -> channel:int -> bool
+(** Whether {!h_demands} has an entry for the channel. *)
+
+val demand_span : t -> int -> channel:int -> Spr_util.Interval.t
+(** The net's demand span in the channel, without allocating; only
+    meaningful when {!has_demand} holds. *)
+
 val h_routes : t -> int -> (int * hroute) list
 (** Completed channel routes, keyed by channel. *)
 
@@ -105,6 +112,28 @@ val u_d : t -> int -> int list
 (** [u_d t channel]: nets awaiting a detailed route in that channel, in
     retry order: demand span length descending, net id descending on
     ties (paper §3.4). *)
+
+(** {2 Attempt snapshots}
+
+    A routing sweep attempts a snapshot of its queue taken before any
+    attempt: the queued nets whose attempt is pending (see below), in
+    queue order, capped. Attempts mutate the queues, never the
+    snapshot. The snapshot lives in one reused buffer owned by the
+    state, so taking it allocates nothing; a sweep must finish with one
+    snapshot before taking the next. *)
+
+val snapshot_buffer : t -> int array
+(** The buffer the snapshot functions fill, [n_nets] long. A sweep may
+    reorder its own snapshot in place. *)
+
+val snapshot_ug : t -> cap:int -> int
+(** Copy the first [cap] nets of {!u_g} with {!global_attempt_pending}
+    into {!snapshot_buffer}; returns how many. *)
+
+val snapshot_ud : t -> channel:int -> cap:int -> int
+(** Copy the first [cap] nets of [u_d t channel] that have a demand in
+    the channel and {!detail_attempt_pending} into {!snapshot_buffer};
+    returns how many. *)
 
 (** {2 Dirty-net tracking}
 
@@ -195,16 +224,6 @@ val satisfy_trivial_global : t -> Spr_util.Journal.t -> int -> unit
 val claim_detail : t -> Spr_util.Journal.t -> int -> hroute -> unit
 (** Record a detailed route for one queued channel demand of the net;
     claims the horizontal segments (which must be free). *)
-
-(** {1 Whole-net embedding (for timing)} *)
-
-type embedding = {
-  e_global : vroute option;
-  e_hroutes : (int * hroute) list;
-}
-
-val embedding : t -> int -> embedding option
-(** [Some] only when the net is fully routed. *)
 
 (** {1 Validation} *)
 

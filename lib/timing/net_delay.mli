@@ -8,6 +8,14 @@
     sufficient early in layout while other cost terms push the net toward
     a feasible path. *)
 
+type workspace
+(** Reusable RC-tree storage: the tree, its evaluation arrays, the
+    per-sink node map and per-channel node offsets. Building a net into
+    a workspace that has seen a net at least as large allocates
+    nothing. Each incremental analyzer owns one. *)
+
+val create_workspace : unit -> workspace
+
 val build_rc_tree :
   Delay_model.t ->
   Spr_route.Route_state.t ->
@@ -16,8 +24,9 @@ val build_rc_tree :
 (** [(tree, root node, per-sink nodes)] for a fully embedded net: one
     node per claimed segment, antifuse edges between adjacent segments,
     cross-antifuse taps for the driver, sinks, and spine junctions.
-    [None] when the net is not fully embedded. Both the Elmore evaluator
-    and the two-moment {!Awe} cross-checker consume this tree. *)
+    [None] when the net is not fully embedded. Built in a fresh
+    workspace by the same code {!sink_delays_into} runs; the two-moment
+    {!Awe} cross-checker consumes it. *)
 
 val routed_sink_delays :
   Delay_model.t -> Spr_route.Route_state.t -> int -> float array option
@@ -33,9 +42,10 @@ val sink_delays : Delay_model.t -> Spr_route.Route_state.t -> int -> float array
     replicated. Zero-length for nets without sinks. *)
 
 val sink_delays_into :
-  Delay_model.t -> Spr_route.Route_state.t -> int -> out:float array -> int
-(** Allocation-reusing variant of {!sink_delays}: writes the per-sink
-    delays into the first [n_sinks] cells of [out] (which must be at
-    least that long) and returns [n_sinks]. The incremental analyzer
-    keeps one scratch buffer across moves and only materializes a fresh
+  Delay_model.t -> Spr_route.Route_state.t -> workspace -> int -> out:float array -> int
+(** Allocation-free variant of {!sink_delays}: builds the net's tree in
+    the workspace and writes the per-sink delays into the first
+    [n_sinks] cells of [out] (which must be at least that long),
+    returning [n_sinks]. The incremental analyzer keeps one workspace
+    and one output buffer across moves and only materializes a fresh
     array when a net's delays actually changed. *)

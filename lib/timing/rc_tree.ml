@@ -1,105 +1,171 @@
+(* Adjacency is a prepend-linked list of half-edges per node: [head.(u)]
+   is the most recently added half-edge at [u] and [next] chains to the
+   older ones, the same most-recent-first order a cons list gives. BFS
+   visits neighbours in that order, so it fixes the orientation and with
+   it the floating-point summation order. All evaluation work lives in
+   arrays owned by the tree and reused across [clear]s. *)
 type t = {
   mutable caps : float array;
-  mutable adj : (int * float) list array;  (* neighbour, edge resistance *)
+  mutable head : int array;  (* node -> newest incident half-edge, or -1 *)
+  mutable next : int array;  (* half-edge -> next older half-edge at the same node *)
+  mutable dst : int array;  (* half-edge -> far node *)
+  mutable res : float array;  (* half-edge -> edge resistance *)
   mutable n : int;
   mutable n_edges : int;
+  (* evaluation work, as long as [caps] once evaluated *)
+  mutable parent : int array;
+  mutable parent_res : float array;
+  mutable order : int array;  (* BFS order from the root *)
+  mutable visited : bool array;
+  mutable sub : float array;  (* subtree sums *)
+  mutable m1 : float array;
+  mutable m2 : float array;
 }
 
-let create () = { caps = Array.make 8 0.0; adj = Array.make 8 []; n = 0; n_edges = 0 }
+let create () =
+  {
+    caps = Array.make 8 0.0;
+    head = Array.make 8 (-1);
+    next = Array.make 16 0;
+    dst = Array.make 16 0;
+    res = Array.make 16 0.0;
+    n = 0;
+    n_edges = 0;
+    parent = [||];
+    parent_res = [||];
+    order = [||];
+    visited = [||];
+    sub = [||];
+    m1 = [||];
+    m2 = [||];
+  }
 
-let ensure t i =
-  let cap = Array.length t.caps in
-  if i >= cap then begin
-    let caps = Array.make (max (i + 1) (cap * 2)) 0.0 in
-    Array.blit t.caps 0 caps 0 t.n;
-    t.caps <- caps;
-    let adj = Array.make (Array.length caps) [] in
-    Array.blit t.adj 0 adj 0 t.n;
-    t.adj <- adj
-  end
+let clear t =
+  t.n <- 0;
+  t.n_edges <- 0
+
+let grow a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let add_node t ~cap =
-  ensure t t.n;
   let id = t.n in
+  let len = Array.length t.caps in
+  if id >= len then begin
+    t.caps <- grow t.caps (2 * len) 0.0;
+    t.head <- grow t.head (2 * len) (-1)
+  end;
   t.caps.(id) <- cap;
-  t.n <- t.n + 1;
+  t.head.(id) <- -1;
+  t.n <- id + 1;
   id
 
 let add_cap t ~node ~cap =
   assert (node < t.n);
   t.caps.(node) <- t.caps.(node) +. cap
 
+let add_half_edge t e ~src ~dst ~res =
+  t.dst.(e) <- dst;
+  t.res.(e) <- res;
+  t.next.(e) <- t.head.(src);
+  t.head.(src) <- e
+
 let add_edge t a b ~res =
   assert (a < t.n && b < t.n && a <> b);
-  t.adj.(a) <- (b, res) :: t.adj.(a);
-  t.adj.(b) <- (a, res) :: t.adj.(b);
+  let e = 2 * t.n_edges in
+  let len = Array.length t.dst in
+  if e + 1 >= len then begin
+    t.next <- grow t.next (2 * len) 0;
+    t.dst <- grow t.dst (2 * len) 0;
+    t.res <- grow t.res (2 * len) 0.0
+  end;
+  add_half_edge t e ~src:a ~dst:b ~res;
+  add_half_edge t (e + 1) ~src:b ~dst:a ~res;
   t.n_edges <- t.n_edges + 1
 
 let n_nodes t = t.n
+
+let ensure_work t =
+  let len = Array.length t.caps in
+  if Array.length t.parent < len then begin
+    t.parent <- Array.make len (-1);
+    t.parent_res <- Array.make len 0.0;
+    t.order <- Array.make len 0;
+    t.visited <- Array.make len false;
+    t.sub <- Array.make len 0.0;
+    t.m1 <- Array.make len 0.0;
+    t.m2 <- Array.make len 0.0
+  end
 
 (* Orient the undirected tree from [root] with BFS; nets can be deep
    chains, so no recursion anywhere below. *)
 let orient t ~root =
   if root >= t.n then invalid_arg "Rc_tree.elmore: bad root";
   if t.n_edges <> t.n - 1 then invalid_arg "Rc_tree.elmore: not a tree";
-  let parent = Array.make t.n (-1) in
-  let parent_res = Array.make t.n 0.0 in
-  let order = Array.make t.n 0 in
-  let visited = Array.make t.n false in
-  let head = ref 0 and tail = ref 0 in
-  order.(0) <- root;
-  visited.(root) <- true;
-  tail := 1;
+  ensure_work t;
+  Array.fill t.visited 0 t.n false;
+  t.order.(0) <- root;
+  t.visited.(root) <- true;
+  let head = ref 0 and tail = ref 1 in
   while !head < !tail do
-    let u = order.(!head) in
+    let u = t.order.(!head) in
     incr head;
-    List.iter
-      (fun (v, res) ->
-        if not visited.(v) then begin
-          visited.(v) <- true;
-          parent.(v) <- u;
-          parent_res.(v) <- res;
-          order.(!tail) <- v;
-          incr tail
-        end)
-      t.adj.(u)
+    let e = ref t.head.(u) in
+    while !e >= 0 do
+      let v = t.dst.(!e) in
+      if not t.visited.(v) then begin
+        t.visited.(v) <- true;
+        t.parent.(v) <- u;
+        t.parent_res.(v) <- t.res.(!e);
+        t.order.(!tail) <- v;
+        incr tail
+      end;
+      e := t.next.(!e)
+    done
   done;
-  if !tail <> t.n then invalid_arg "Rc_tree.elmore: disconnected";
-  (parent, parent_res, order)
+  if !tail <> t.n then invalid_arg "Rc_tree.elmore: disconnected"
 
-let subtree_sum t ~parent ~order weights =
-  let acc = Array.copy weights in
+(* [acc.(v)] becomes the sum of [acc] over v's subtree. *)
+let subtree_sum t acc =
   for i = t.n - 1 downto 1 do
-    let v = order.(i) in
-    acc.(parent.(v)) <- acc.(parent.(v)) +. acc.(v)
-  done;
-  acc
+    let v = t.order.(i) in
+    let p = t.parent.(v) in
+    acc.(p) <- acc.(p) +. acc.(v)
+  done
+
+(* [m.(v) = m.(parent) + R_edge * w.(v)] down the BFS order. *)
+let accumulate t m w =
+  m.(t.order.(0)) <- 0.0;
+  for i = 1 to t.n - 1 do
+    let v = t.order.(i) in
+    m.(v) <- m.(t.parent.(v)) +. (t.parent_res.(v) *. w.(v))
+  done
+
+(* Elmore delay of every node into [t.m1]. *)
+let eval_elmore t ~root =
+  orient t ~root;
+  Array.blit t.caps 0 t.sub 0 t.n;
+  subtree_sum t t.sub;
+  accumulate t t.m1 t.sub
+
+let elmore_into t ~root ~nodes ~n ~out =
+  eval_elmore t ~root;
+  for i = 0 to n - 1 do
+    out.(i) <- t.m1.(nodes.(i))
+  done
 
 let elmore t ~root =
-  let parent, parent_res, order = orient t ~root in
-  let subtree_cap = subtree_sum t ~parent ~order (Array.sub t.caps 0 t.n) in
-  let delay = Array.make t.n 0.0 in
-  for i = 1 to t.n - 1 do
-    let v = order.(i) in
-    delay.(v) <- delay.(parent.(v)) +. (parent_res.(v) *. subtree_cap.(v))
-  done;
-  delay
+  eval_elmore t ~root;
+  Array.sub t.m1 0 t.n
 
 (* Second moment via the standard RC-tree recurrence:
    m2(v) = m2(parent) + R_edge * sum_{k in subtree(v)} C_k * m1(k). *)
 let moments t ~root =
-  let parent, parent_res, order = orient t ~root in
-  let subtree_cap = subtree_sum t ~parent ~order (Array.sub t.caps 0 t.n) in
-  let m1 = Array.make t.n 0.0 in
-  for i = 1 to t.n - 1 do
-    let v = order.(i) in
-    m1.(v) <- m1.(parent.(v)) +. (parent_res.(v) *. subtree_cap.(v))
+  eval_elmore t ~root;
+  for v = 0 to t.n - 1 do
+    t.sub.(v) <- t.caps.(v) *. t.m1.(v)
   done;
-  let weighted = Array.init t.n (fun v -> t.caps.(v) *. m1.(v)) in
-  let subtree_cm1 = subtree_sum t ~parent ~order weighted in
-  let m2 = Array.make t.n 0.0 in
-  for i = 1 to t.n - 1 do
-    let v = order.(i) in
-    m2.(v) <- m2.(parent.(v)) +. (parent_res.(v) *. subtree_cm1.(v))
-  done;
-  (m1, m2)
+  subtree_sum t t.sub;
+  accumulate t t.m2 t.sub;
+  (Array.sub t.m1 0 t.n, Array.sub t.m2 0 t.n)

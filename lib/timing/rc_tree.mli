@@ -8,8 +8,14 @@
     here in two linear passes. *)
 
 type t
+(** A tree together with the work arrays its evaluation reuses: after
+    the first evaluation at a given size, {!clear}, rebuilding and
+    {!elmore_into} allocate nothing. *)
 
 val create : unit -> t
+
+val clear : t -> unit
+(** Drop every node and edge, keeping the arrays for the next tree. *)
 
 val add_node : t -> cap:float -> int
 (** Returns the node id (dense from 0). *)
@@ -22,9 +28,15 @@ val add_edge : t -> int -> int -> res:float -> unit
 
 val n_nodes : t -> int
 
+val elmore_into : t -> root:int -> nodes:int array -> n:int -> out:float array -> unit
+(** [elmore_into t ~root ~nodes ~n ~out] writes the Elmore delay from
+    [root] to [nodes.(i)] into [out.(i)], for [i < n]. Raises
+    [Invalid_argument] if the graph is not a connected tree containing
+    [root]. *)
+
 val elmore : t -> root:int -> float array
-(** Per-node Elmore delay from [root]. Raises [Invalid_argument] if the
-    graph is not a connected tree containing [root]. *)
+(** Per-node Elmore delay from [root], in a fresh array; same
+    computation and preconditions as {!elmore_into}. *)
 
 val moments : t -> root:int -> float array * float array
 (** [(m1, m2)] — the first two moments of the impulse response at every

@@ -30,6 +30,9 @@ val add : ?j:Journal.t -> t -> int -> key:int -> unit
 val remove : ?j:Journal.t -> t -> int -> bool
 (** [true] iff the id was queued. *)
 
+val nth : t -> int -> int
+(** [nth t i] is the member at rank [i] in queue order, [0 <= i < length t]. *)
+
 val iter : (int -> unit) -> t -> unit
 (** In queue order: key descending, ties by descending id. *)
 

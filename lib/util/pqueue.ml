@@ -57,16 +57,22 @@ let add t priority v =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+let take_min t =
+  if t.size = 0 then invalid_arg "Pqueue.take_min: empty queue";
+  let v = t.vals.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.keys.(0) <- t.keys.(t.size);
+    t.vals.(0) <- t.vals.(t.size);
+    sift_down t 0
+  end;
+  v
+
 let pop_min t =
   if t.size = 0 then None
   else begin
-    let k = t.keys.(0) and v = t.vals.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.vals.(0) <- t.vals.(t.size);
-      sift_down t 0
-    end;
+    let k = t.keys.(0) in
+    let v = take_min t in
     Some (k, v)
   end
 

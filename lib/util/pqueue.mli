@@ -19,4 +19,9 @@ val pop_min : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest priority, or [None] when
     empty. Ties pop in unspecified order. *)
 
+val take_min : 'a t -> 'a
+(** Remove and return the value with the smallest priority, allocating
+    nothing; the same entry {!pop_min} would return. Raises
+    [Invalid_argument] when empty. *)
+
 val clear : 'a t -> unit

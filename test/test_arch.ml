@@ -89,6 +89,22 @@ let test_find_cover_matches_brute_force =
       let span = I.make lo (lo + len) in
       Arch.find_cover segs span = brute_force_cover segs span)
 
+(* The non-allocating search the routers run must answer exactly as the
+   option-returning wrapper and the brute force: -1 exactly when there is
+   no cover, else the same index range. *)
+let test_cover_start_matches_find_cover =
+  QCheck.Test.make ~name:"cover_start/cover_end agree with find_cover and brute force"
+    ~count:500
+    QCheck.(
+      triple scheme_gen (int_range 4 80) (pair (int_range (-5) 90) (int_range 0 30)))
+    (fun (scheme, cols, (lo, len)) ->
+      let segs = Seg.track scheme ~cols ~channel:1 ~track:2 in
+      let hi = lo + len in
+      let first = Arch.cover_start segs ~lo ~hi in
+      let direct = if first < 0 then None else Some (first, Arch.cover_end segs first ~hi) in
+      let span = I.make lo hi in
+      direct = Arch.find_cover segs span && direct = brute_force_cover segs span)
+
 let test_find_cover_examples () =
   let segs = [| I.make 0 3; I.make 4 7; I.make 8 11 |] in
   Alcotest.(check bool) "single segment" true (Arch.find_cover segs (I.make 1 3) = Some (0, 0));
@@ -200,6 +216,7 @@ let () =
         [
           Alcotest.test_case "examples" `Quick test_find_cover_examples;
           qtest test_find_cover_matches_brute_force;
+          qtest test_cover_start_matches_find_cover;
         ] );
       ( "arch",
         [

@@ -182,6 +182,7 @@ let row i =
     dr_cost = 3.25;
     dr_delay_ns = 250.0;
     dr_phase_seconds = [ ("propose", 0.001); ("decide", 0.002) ];
+    dr_phase_words = [];
   }
 
 let render f rows =
@@ -266,6 +267,83 @@ let corrupt_trace rng text =
       Bytes.to_string b
     end
 
+(* --- allocation fields: round trip, and older artifacts decode as 0 --- *)
+
+let alloc_report () =
+  let phase name seconds words =
+    { Report.ph_name = name; ph_seconds = seconds; ph_calls = 10; ph_words = words }
+  in
+  {
+    Report.r_label = "s1";
+    r_seed = 1;
+    r_replicas = 1;
+    r_status = "completed";
+    r_fully_routed = true;
+    r_g_unrouted = 0;
+    r_d_unrouted = 0;
+    r_critical_delay_ns = 130.0;
+    r_best_cost = 1.0;
+    r_initial_cost = 2.0;
+    r_final_cost = 1.0;
+    r_moves = 10;
+    r_temperatures = 1;
+    r_exchange_rounds = 0;
+    r_cpu_seconds = 0.5;
+    r_wall_seconds = 0.5;
+    r_pipeline =
+      Some
+        {
+          Report.pl_moves = 10;
+          pl_null_moves = 0;
+          pl_accepts = 3;
+          pl_rejects = 7;
+          pl_ripped_nets = 40;
+          pl_retimed_nets = 50;
+          pl_total_seconds = 0.4;
+          pl_phases = [ phase "propose" 0.1 800.0; phase "decide" 0.3 60.0 ];
+          pl_global_attempts = 5;
+          pl_global_routed = 4;
+          pl_detail_attempts = 9;
+          pl_detail_routed = 8;
+          pl_minor_collections = 12;
+          pl_major_collections = 1;
+        };
+    r_route = None;
+    r_dynamics =
+      [ { (row 0) with Report.dr_phase_words = [ ("propose", 80.0); ("decide", 6.0) ] } ];
+    r_metrics = [];
+  }
+
+(* Drop the fields allocation tracking added, at any depth. *)
+let rec strip_alloc_fields (j : Spr_obs.Json.t) : Spr_obs.Json.t =
+  let added = [ "minor_words"; "minor_collections"; "major_collections"; "phase_words_per_move" ] in
+  match j with
+  | Obj fields ->
+    Obj
+      (List.filter_map
+         (fun (k, v) -> if List.mem k added then None else Some (k, strip_alloc_fields v))
+         fields)
+  | List xs -> List (List.map strip_alloc_fields xs)
+  | v -> v
+
+let test_report_alloc_fields () =
+  let r = alloc_report () in
+  (match Report.of_json (Report.to_json r) with
+  | Ok back -> Alcotest.(check bool) "allocation fields round-trip" true (back = r)
+  | Error e -> Alcotest.failf "report rejected: %s" e);
+  match Report.of_json (strip_alloc_fields (Report.to_json r)) with
+  | Error e -> Alcotest.failf "pre-allocation report rejected: %s" e
+  | Ok old ->
+    let pl = Option.get old.Report.r_pipeline in
+    Alcotest.(check (list (float 0.0))) "phase words read as 0" [ 0.0; 0.0 ]
+      (List.map (fun p -> p.Report.ph_words) pl.Report.pl_phases);
+    Alcotest.(check (pair int int)) "collections read as 0" (0, 0)
+      (pl.Report.pl_minor_collections, pl.Report.pl_major_collections);
+    Alcotest.(check int) "temperature rows carry no words" 0
+      (List.length (List.hd old.Report.r_dynamics).Report.dr_phase_words);
+    Alcotest.(check bool) "the rest survives" true
+      ({ old with Report.r_pipeline = r.Report.r_pipeline; r_dynamics = r.Report.r_dynamics } = r)
+
 let test_trace_fuzz_total () =
   let rng = Spr_util.Rng.create 42 in
   let base = valid_trace_text () in
@@ -310,6 +388,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "adversarial input decodes totally" `Quick test_trace_fuzz_total;
+          Alcotest.test_case "allocation fields round-trip, absent ones read as 0" `Quick
+            test_report_alloc_fields;
         ] );
       ( "render",
         [

@@ -125,6 +125,79 @@ let test_elmore_monotone_along_path =
       done;
       !ok)
 
+(* Reference Elmore evaluation as the allocating implementation did it:
+   cons-list adjacency (newest edge first), BFS orientation, subtree
+   sums in reverse BFS order. Any change to the visiting or summation
+   order shows up as a bit difference against it. *)
+let reference_elmore caps edges ~root =
+  let n = Array.length caps in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (a, b, res) ->
+      adj.(a) <- (b, res) :: adj.(a);
+      adj.(b) <- (a, res) :: adj.(b))
+    edges;
+  let parent = Array.make n (-1) and parent_res = Array.make n 0.0 in
+  let order = Array.make n 0 and visited = Array.make n false in
+  order.(0) <- root;
+  visited.(root) <- true;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = order.(!head) in
+    incr head;
+    List.iter
+      (fun (v, res) ->
+        if not visited.(v) then begin
+          visited.(v) <- true;
+          parent.(v) <- u;
+          parent_res.(v) <- res;
+          order.(!tail) <- v;
+          incr tail
+        end)
+      adj.(u)
+  done;
+  let sub = Array.copy caps in
+  for i = n - 1 downto 1 do
+    let v = order.(i) in
+    sub.(parent.(v)) <- sub.(parent.(v)) +. sub.(v)
+  done;
+  let delay = Array.make n 0.0 in
+  for i = 1 to n - 1 do
+    let v = order.(i) in
+    delay.(v) <- delay.(parent.(v)) +. (parent_res.(v) *. sub.(v))
+  done;
+  delay
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* One tree reused across random trees of growing and shrinking sizes
+   (the first size past the initial capacity forces a grow): every
+   evaluation equals the reference bit for bit. *)
+let test_reused_tree_matches_reference =
+  QCheck.Test.make ~name:"reused Rc_tree elmore_into equals the reference bit for bit"
+    ~count:100
+    QCheck.(pair small_int (list_of_size Gen.(int_range 1 8) (int_range 1 40)))
+    (fun (seed, sizes) ->
+      let rng = Rng.create seed in
+      let t = Rc.create () in
+      List.for_all
+        (fun n ->
+          Rc.clear t;
+          let caps = Array.init n (fun _ -> Rng.float rng 2.0) in
+          Array.iter (fun cap -> ignore (Rc.add_node t ~cap : int)) caps;
+          let edges =
+            List.init (n - 1) (fun i ->
+                (Rng.int rng (i + 1), i + 1, 0.1 +. Rng.float rng 3.0))
+          in
+          List.iter (fun (a, b, res) -> Rc.add_edge t a b ~res) edges;
+          let root = Rng.int rng n in
+          let nodes = Array.init n (fun i -> i) in
+          let out = Array.make n nan in
+          Rc.elmore_into t ~root ~nodes ~n ~out;
+          let expect = reference_elmore caps edges ~root in
+          Array.for_all2 same_bits out expect)
+        sizes)
+
 (* --- Net delay --- *)
 
 let make_routed ?(n_cells = 80) ?(seed = 5) ?(tracks = 24) () =
@@ -134,6 +207,31 @@ let make_routed ?(n_cells = 80) ?(seed = 5) ?(tracks = 24) () =
   let st = Rs.create place in
   Router.route_all st;
   (st, nl)
+
+(* One workspace reused across every net of random routed states, in a
+   random order (so it sees nets of different sizes and grows on the
+   way), against a fresh workspace per net: the delays agree bit for
+   bit, and so do unembedded nets' estimates. *)
+let test_workspace_matches_fresh =
+  QCheck.Test.make ~name:"reused Net_delay workspace equals a fresh one bit for bit" ~count:8
+    QCheck.small_int (fun seed ->
+      let st, nl =
+        make_routed ~n_cells:60 ~seed:(1 + (seed mod 13)) ~tracks:(14 + (seed mod 8)) ()
+      in
+      let dm = Dm.default in
+      let ws = Nd.create_workspace () in
+      let nets = Array.init (Nl.n_nets nl) (fun n -> n) in
+      Rng.shuffle_in_place (Rng.create seed) nets;
+      let max_sinks =
+        Array.fold_left (fun m net -> max m (Array.length (Nl.net nl net).Nl.sinks)) 1 nets
+      in
+      let out = Array.make max_sinks nan in
+      Array.for_all
+        (fun net ->
+          let n = Nd.sink_delays_into dm st ws net ~out in
+          let fresh = Nd.sink_delays dm st net in
+          n = Array.length fresh && Array.for_all2 same_bits (Array.sub out 0 n) fresh)
+        nets)
 
 let test_routed_delays_present () =
   let st, nl = make_routed () in
@@ -448,12 +546,14 @@ let () =
           Alcotest.test_case "rejects cycles" `Quick test_elmore_rejects_non_tree;
           Alcotest.test_case "rejects forests" `Quick test_elmore_rejects_disconnected;
           qtest test_elmore_monotone_along_path;
+          qtest test_reused_tree_matches_reference;
         ] );
       ( "net_delay",
         [
           Alcotest.test_case "routed delays" `Quick test_routed_delays_present;
           Alcotest.test_case "unrouted estimate" `Quick test_unrouted_uses_estimate;
           Alcotest.test_case "estimate grows with span" `Quick test_estimate_grows_with_span;
+          qtest test_workspace_matches_fresh;
         ] );
       ( "moments",
         [
