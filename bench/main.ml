@@ -313,7 +313,7 @@ let portfolio () =
             |> with_max_moves budget
             |> with_replicas ~exchange k)
         in
-        let p = Spr_core.Tool.run_portfolio_exn ~config arch nl in
+        let p = Spr_core.Tool.run_exn ~config arch nl in
         let best = Spr_core.Tool.best_result p in
         let moves =
           Array.fold_left
@@ -405,7 +405,7 @@ let racing () =
           base |> with_replicas k |> with_scheduler_kind `Racing |> with_race_margin margin
           |> with_race_warmup 8 |> with_race_every 3)
     in
-    let p = Spr_core.Tool.run_portfolio_exn ~config arch nl in
+    let p = Spr_core.Tool.run_exn ~config arch nl in
     let best = Spr_core.Tool.best_result p in
     let moves =
       Array.fold_left

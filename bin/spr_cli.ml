@@ -106,15 +106,6 @@ let generate_cmd =
 
 (* --- route --- *)
 
-let report_sim nl (r : Spr_core.Tool.result) =
-  Printf.printf "simultaneous: routed=%b (G=%d D=%d)  critical=%.2f ns  cpu=%.1f s\n"
-    r.Spr_core.Tool.fully_routed r.Spr_core.Tool.g r.Spr_core.Tool.d
-    r.Spr_core.Tool.critical_delay r.Spr_core.Tool.cpu_seconds;
-  let path = Spr_timing.Sta.critical_path r.Spr_core.Tool.sta in
-  Printf.printf "critical path: %s\n"
-    (String.concat " -> "
-       (List.map (fun c -> (Spr_netlist.Netlist.cell nl c).Spr_netlist.Netlist.cell_name) path))
-
 let report_flow ~flow nl (r : Spr_flow.result) =
   List.iter
     (fun s ->
@@ -182,32 +173,26 @@ type run_meta = {
   m_circuit : string option;
 }
 
-let write_run_dir ~dir ~tracks ~scheme ~seed ~effort ~parallel ~exchange
-    ~(scheduler : Spr_core.Tool.Config.scheduler) ~flow ~source nl =
+let write_run_dir ~dir ~file m nl =
   Spr_util.Persist.ensure_dir dir;
-  (match source with
-  | `File path ->
-    (match Spr_util.Persist.read_file path with
-    | Ok text -> Spr_util.Persist.atomic_write (design_file dir) text
-    | Error _ ->
-      Spr_util.Persist.atomic_write (design_file dir)
-        (Spr_netlist.Blif.to_string ~model_name:"run" nl))
-  | `Circuit _ ->
-    Spr_util.Persist.atomic_write (design_file dir)
-      (Spr_netlist.Blif.to_string ~model_name:"run" nl));
-  let circuit_line = match source with `Circuit name -> "circuit " ^ name ^ "\n" | `File _ -> "" in
+  Spr_util.Persist.atomic_write (design_file dir)
+    (match Option.map Spr_util.Persist.read_file file with
+    | Some (Ok text) -> text
+    | Some (Error _) | None -> Spr_netlist.Blif.to_string ~model_name:"run" nl);
+  let circuit_line = match m.m_circuit with Some name -> "circuit " ^ name ^ "\n" | None -> "" in
+  let scheduler = m.m_scheduler in
   Spr_util.Persist.atomic_write (meta_file dir)
     (Printf.sprintf
        "spr-run-meta 1\ntracks %d\nscheme %s\nseed %d\neffort %s\nparallel %d\nexchange %s\n\
         scheduler %s\nrace-margin %h\nrace-warmup %d\nrace-every %d\nflow %s\n%s"
-       tracks
-       (Spr_arch.Segmentation.scheme_to_string scheme)
-       seed
-       (Spr_experiments.Profiles.effort_to_string effort)
-       parallel
-       (Spr_anneal.Portfolio.exchange_to_string exchange)
+       m.m_tracks
+       (Spr_arch.Segmentation.scheme_to_string m.m_scheme)
+       m.m_seed
+       (Spr_experiments.Profiles.effort_to_string m.m_effort)
+       m.m_parallel
+       (Spr_anneal.Portfolio.exchange_to_string m.m_exchange)
        (Spr_core.Tool.Config.scheduler_to_string scheduler)
-       scheduler.race_margin scheduler.race_warmup scheduler.race_every flow circuit_line)
+       scheduler.race_margin scheduler.race_warmup scheduler.race_every m.m_flow circuit_line)
 
 let read_run_meta dir =
   match Spr_util.Persist.read_file (meta_file dir) with
@@ -308,93 +293,70 @@ let report_portfolio (p : Spr_core.Tool.portfolio_result) =
     (if kills > 0 then Printf.sprintf ", %d racing kills" kills else "")
     p.Spr_core.Tool.p_wall_seconds
 
-let run_sim ~(config : Spr_core.Tool.config) ?resume ?resume_dir ~selfcheck ~profile arch nl
-    ~run_dir ~svg ~checkpoint ~ascii ~stats ~report_k ~clock =
-  Spr_core.Tool.install_signal_handlers ();
-  let outcome =
-    if config.parallel.replicas > 1 then
-      match Spr_core.Tool.run_portfolio ~config ?resume_dir arch nl with
-      | Error e -> Error e
-      | Ok p ->
-        report_portfolio p;
-        Ok (Spr_core.Tool.best_result p)
-    else Spr_core.Tool.run ~config ?resume arch nl
-  in
-  match outcome with
-  | Error e -> Error ("simultaneous flow failed: " ^ Spr_core.Tool.error_to_string e)
-  | Ok r ->
-    (match r.Spr_core.Tool.status with
-    | Spr_core.Tool.Completed -> ()
-    | Spr_core.Tool.Interrupted reason ->
-      Printf.printf "interrupted (%s): best-so-far layout follows%s\n"
-        (Spr_core.Tool.stop_reason_to_string reason)
-        (match run_dir with
-        | Some dir -> Printf.sprintf "; continue with: spr route --run-resume %s" dir
-        | None -> ""));
-    report_sim nl r;
-    (match config.obs.trace_path with
-    | Some path -> Printf.printf "trace written to %s\n" path
-    | None -> ());
-    (match config.obs.report_path with
-    | Some path -> Printf.printf "report written to %s\n" path
-    | None -> ());
-    if profile then begin
-      Format.printf "%a" Spr_core.Profile.pp r.Spr_core.Tool.profile;
-      Format.printf "per-temperature phase times:@.%a" Spr_core.Dynamics.pp_phase_series
-        r.Spr_core.Tool.dynamics
-    end;
-    let audit_ok =
-      if not selfcheck then true
-      else begin
-        match Spr_core.Tool.audit_result r with
-        | [] ->
-          Printf.printf "selfcheck: zero audit findings\n";
-          true
-        | findings ->
-          Printf.printf "selfcheck FAILED:\n%s\n" (Spr_check.Finding.summarize findings);
-          false
-      end
-    in
-    post_layout nl ~route:r.Spr_core.Tool.route ~sta:r.Spr_core.Tool.sta ~svg ~checkpoint
-      ~ascii ~stats ~report_k ~clock;
-    if audit_ok then Ok () else Error "selfcheck reported audit findings"
-
-(* Multi-stage flows go through the flow engine; the classic [--flow sa]
-   path stays on [run_sim] above, bit-identical to what it always
-   produced. *)
-let run_flow ~flow ~(config : Spr_core.Tool.config) ?resume_dir arch nl ~svg ~checkpoint ~ascii
-    ~stats ~report_k ~clock =
-  Spr_core.Tool.install_signal_handlers ();
-  match Spr_flow.run ~config ?resume_dir arch nl with
+(* Every route invocation, fresh or resumed, is one flow-engine run:
+   the plain anneal is preset [sa], a fleet is any preset with
+   [--parallel] above 1. *)
+let run_route ~(config : Spr_core.Tool.config) ?resume_dir ~selfcheck ~profile arch nl ~svg
+    ~checkpoint ~ascii ~stats ~report_k ~clock =
+  let flow = config.flow.preset in
+  match
+    Spr_core.Tool.with_signal_handlers (fun () -> Spr_flow.run ~config ?resume_dir arch nl)
+  with
   | Error e ->
     Error (Printf.sprintf "flow %s failed: %s" flow (Spr_core.Tool.error_to_string e))
   | Ok r ->
+    let sa = Option.map Spr_core.Tool.best_result r.Spr_flow.f_portfolio in
     (match r.Spr_flow.f_portfolio with
     | Some p when Array.length p.Spr_core.Tool.p_results > 1 -> report_portfolio p
+    | _ -> ());
+    (match sa with
+    | Some { Spr_core.Tool.status = Spr_core.Tool.Interrupted reason; _ } ->
+      Printf.printf "interrupted (%s): best-so-far layout follows%s\n"
+        (Spr_core.Tool.stop_reason_to_string reason)
+        (match config.persistence.run_dir with
+        | Some dir -> Printf.sprintf "; continue with: spr route --run-resume %s" dir
+        | None -> "")
     | _ -> ());
     report_flow ~flow nl r;
     (match config.obs.trace_path with
     | Some path -> Printf.printf "trace written to %s\n" path
     | None -> ());
-    (match config.obs.report_path with
-    | Some path when r.Spr_flow.f_tool <> None || r.Spr_flow.f_portfolio <> None ->
-      Printf.printf "report written to %s\n" path
+    (* Only an sa stage writes a run report. *)
+    (match config.obs.report_path, sa with
+    | Some path, Some _ -> Printf.printf "report written to %s\n" path
     | _ -> ());
+    (match sa with
+    | Some b when profile ->
+      Format.printf "%a" Spr_core.Profile.pp b.Spr_core.Tool.profile;
+      Format.printf "per-temperature phase times:@.%a" Spr_core.Dynamics.pp_phase_series
+        b.Spr_core.Tool.dynamics
+    | _ -> ());
+    let audit_ok =
+      (not selfcheck)
+      ||
+      match Spr_check.Audit.run_all ~sta:r.Spr_flow.f_sta r.Spr_flow.f_route with
+      | [] ->
+        Printf.printf "selfcheck: zero audit findings\n";
+        true
+      | findings ->
+        Printf.printf "selfcheck FAILED:\n%s\n" (Spr_check.Finding.summarize findings);
+        false
+    in
     post_layout nl ~route:r.Spr_flow.f_route ~sta:r.Spr_flow.f_sta ~svg ~checkpoint ~ascii
       ~stats ~report_k ~clock;
-    Ok ()
+    if audit_ok then Ok () else Error "selfcheck reported audit findings"
 
 (* The single flag→Config mapping: every route invocation (fresh or
    resumed) builds its Tool.Config here and nowhere else. *)
-let cli_config config ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot_keep
-    ~selfcheck ~parallel ~exchange ~scheduler ~trace ~report_file ~label =
+let cli_config (m : run_meta) ~n ~stage_budgets ~time_budget ~max_moves ~run_dir ~snapshot_every
+    ~snapshot_keep ~selfcheck ~trace ~report_file ~label =
   let open Spr_core.Tool.Config in
-  config
+  Spr_experiments.Profiles.tool_config ~seed:m.m_seed m.m_effort ~n
   |> (if selfcheck then with_validate true else Fun.id)
   |> with_budget { time_budget; max_moves; stop_after_accepted = None; poll = None }
   |> with_persistence { run_dir; snapshot_every; snapshot_keep; final_checkpoint = true }
-  |> with_replicas ~exchange parallel
-  |> with_scheduler scheduler
+  |> with_replicas ~exchange:m.m_exchange m.m_parallel
+  |> with_scheduler m.m_scheduler
   |> with_obs
        {
          record = trace <> None;
@@ -403,77 +365,8 @@ let cli_config config ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot
          label = Some label;
          on_event = None;
        }
-
-let resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~selfcheck ~profile
-    ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~trace ~report_file
-    ~stage_budgets =
-  match read_run_meta dir with
-  | Error e -> `Error (false, "resume failed: " ^ e)
-  | Ok m -> (
-    let { m_tracks = tracks; m_scheme = scheme; m_seed = seed; m_effort = effort;
-          m_parallel = parallel; m_exchange = exchange; m_scheduler = scheduler;
-          m_flow = flow; m_circuit = circuit } = m
-    in
-    match
-      match circuit with
-      | Some name -> load_netlist ~file:None ~circuit:(Some name)
-      | None -> Spr_netlist.Blif.parse_file (design_file dir)
-    with
-    | Error e -> `Error (false, "resume failed: " ^ e)
-    | Ok nl ->
-      let n = Spr_netlist.Netlist.n_cells nl in
-      Format.printf "circuit: %a@." Spr_netlist.Netlist.pp_summary nl;
-      let arch = Spr_arch.Arch.size_for ~tracks ~hscheme:scheme nl in
-      Format.printf "fabric:  %a@." Spr_arch.Arch.pp arch;
-      let config =
-        cli_config
-          (Spr_experiments.Profiles.tool_config ~seed effort ~n)
-          ~time_budget ~max_moves ~run_dir:(Some dir) ~snapshot_every ~snapshot_keep ~selfcheck
-          ~parallel ~exchange ~scheduler ~trace ~report_file
-          ~label:(Option.value circuit ~default:"run")
-      in
-      if flow <> "sa" then begin
-        (* Multi-stage resume: the flow engine reads flow.json to skip
-           completed stages and hands an in-flight sa its V2
-           snapshots. *)
-        let config =
-          List.fold_left
-            (fun c (stage, b) -> Spr_core.Tool.Config.with_stage_budget stage b c)
-            (Spr_core.Tool.Config.with_flow_preset flow config)
-            stage_budgets
-        in
-        Printf.printf "resuming flow %s from %s\n%!" flow dir;
-        match
-          run_flow ~flow ~config ~resume_dir:dir arch nl ~svg ~checkpoint ~ascii ~stats
-            ~report_k ~clock
-        with
-        | Ok () -> `Ok ()
-        | Error e -> `Error (false, e)
-      end
-      else if parallel > 1 then begin
-        (* Fleet resume: each replica finds (or lacks) its own
-           snapshots; recorded exchange rounds replay from the run
-           directory. *)
-        Printf.printf "resuming portfolio of %d replicas from %s\n%!" parallel dir;
-        match
-          run_sim ~config ~resume_dir:dir ~selfcheck ~profile arch nl ~run_dir:(Some dir) ~svg
-            ~checkpoint ~ascii ~stats ~report_k ~clock
-        with
-        | Ok () -> `Ok ()
-        | Error e -> `Error (false, e)
-      end
-      else (
-        match Spr_core.Checkpoint.V2.load_latest nl ~dir with
-        | Error e -> `Error (false, Spr_core.Tool.(error_to_string (Resume_failed e)))
-        | Ok loaded -> (
-          Printf.printf "resuming from %s (snapshot %d)\n%!" loaded.Spr_core.Checkpoint.V2.path
-            loaded.Spr_core.Checkpoint.V2.seq;
-          match
-            run_sim ~config ~resume:loaded ~selfcheck ~profile arch nl ~run_dir:(Some dir) ~svg
-              ~checkpoint ~ascii ~stats ~report_k ~clock
-          with
-          | Ok () -> `Ok ()
-          | Error e -> `Error (false, e))))
+  |> with_flow_preset m.m_flow
+  |> fun c -> List.fold_left (fun c (stage, b) -> with_stage_budget stage b c) c stage_budgets
 
 (* --stage-budget is repeatable: each occurrence is STAGE=SECONDS. *)
 let parse_stage_budgets specs =
@@ -495,88 +388,84 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
     checkpoint ascii stats report_file endpoints clock trace run_dir resume time_budget
     max_moves snapshot_every snapshot_keep parallel exchange (sched_kind, sched_sync)
     race_margin race_warmup race_every =
-  let report_k = endpoints in
-  let scheduler =
-    {
-      Spr_core.Tool.Config.kind = sched_kind;
-      race_margin;
-      race_warmup;
-      race_every;
-      race_horizon = Spr_core.Tool.Config.default.parallel.scheduler.race_horizon;
-      race_sync = sched_sync;
-    }
+  (* A fresh run takes its design and run parameters from the flags; a
+     resumed one from the run directory it continues. *)
+  let setup () =
+    match resume with
+    | Some dir ->
+      if file <> None || circuit <> None then
+        Error "--run-resume continues a saved run; do not also give a design"
+      else
+        Result.map_error (fun e -> "resume failed: " ^ e)
+          (Result.bind (read_run_meta dir) (fun m ->
+               Result.map
+                 (fun nl -> (m, nl, Option.value m.m_circuit ~default:"run", Some dir))
+                 (match m.m_circuit with
+                 | Some name -> load_netlist ~file:None ~circuit:(Some name)
+                 | None -> Spr_netlist.Blif.parse_file (design_file dir))))
+    | None ->
+      Result.map
+        (fun nl ->
+          let m =
+            {
+              m_tracks = tracks;
+              m_scheme = scheme;
+              m_seed = seed;
+              m_effort = effort;
+              m_parallel = parallel;
+              m_exchange = exchange;
+              m_scheduler =
+                {
+                  Spr_core.Tool.Config.kind = sched_kind;
+                  race_margin;
+                  race_warmup;
+                  race_every;
+                  race_horizon = Spr_core.Tool.Config.default.parallel.scheduler.race_horizon;
+                  race_sync = sched_sync;
+                };
+              m_flow = flow;
+              m_circuit = (if file = None then circuit else None);
+            }
+          in
+          let label =
+            match circuit, file with
+            | Some name, _ -> name
+            | None, Some path -> Filename.remove_extension (Filename.basename path)
+            | None, None -> "run"
+          in
+          Option.iter (fun dir -> write_run_dir ~dir ~file m nl) run_dir;
+          (m, nl, label, run_dir))
+        (load_netlist ~file ~circuit)
   in
   match parse_stage_budgets stage_budget_specs with
   | Error e -> `Error (false, e)
+  | Ok _ when parallel < 1 -> `Error (false, "--parallel must be >= 1")
   | Ok stage_budgets -> (
-  if parallel < 1 then `Error (false, "--parallel must be >= 1")
-  else
-  match resume with
-  | Some dir ->
-    if file <> None || circuit <> None then
-      `Error (false, "--run-resume continues a saved run; do not also give a design")
-    else
-      resume_route dir ~time_budget ~max_moves ~snapshot_every ~snapshot_keep ~selfcheck
-        ~profile ~svg ~checkpoint ~ascii ~stats ~report_k ~clock ~trace
-        ~report_file ~stage_budgets
-  | None -> (
-    match load_netlist ~file ~circuit with
+    match setup () with
     | Error e -> `Error (false, e)
-    | Ok nl ->
+    | Ok (m, nl, label, run_dir) -> (
       let n = Spr_netlist.Netlist.n_cells nl in
       Format.printf "circuit: %a@." Spr_netlist.Netlist.pp_summary nl;
-      let arch = Spr_arch.Arch.size_for ~tracks ~hscheme:scheme nl in
+      let arch = Spr_arch.Arch.size_for ~tracks:m.m_tracks ~hscheme:m.m_scheme nl in
       Format.printf "fabric:  %a@." Spr_arch.Arch.pp arch;
-      (match run_dir with
-      | Some dir ->
-        let source =
-          match file, circuit with
-          | Some path, _ -> `File path
-          | None, Some name -> `Circuit name
-          | None, None -> assert false (* load_netlist succeeded *)
-        in
-        write_run_dir ~dir ~tracks ~scheme ~seed ~effort ~parallel ~exchange ~scheduler ~flow
-          ~source nl
-      | None -> ());
-      let errors = ref [] in
-      let note = function Ok () -> () | Error e -> errors := e :: !errors in
-      let label =
-        match circuit, file with
-        | Some name, _ -> name
-        | None, Some path -> Filename.remove_extension (Filename.basename path)
-        | None, None -> "run"
+      Option.iter
+        (fun dir ->
+          Printf.printf "resuming %sfrom %s\n%!"
+            (if m.m_parallel > 1 then Printf.sprintf "portfolio of %d replicas " m.m_parallel
+             else if m.m_flow <> "sa" then Printf.sprintf "flow %s " m.m_flow
+             else "")
+            dir)
+        resume;
+      let config =
+        cli_config m ~n ~stage_budgets ~time_budget ~max_moves ~run_dir ~snapshot_every
+          ~snapshot_keep ~selfcheck ~trace ~report_file ~label
       in
-      let base_config () =
-        cli_config
-          (Spr_experiments.Profiles.tool_config ~seed effort ~n)
-          ~time_budget ~max_moves ~run_dir ~snapshot_every ~snapshot_keep ~selfcheck ~parallel
-          ~exchange ~scheduler ~trace ~report_file ~label
-      in
-      (match flow with
-      | "sa" ->
-        (* The classic path. A --stage-budget sa=S here is just the run's
-           time budget under another spelling. *)
-        let config =
-          match time_budget, List.assoc_opt "sa" stage_budgets with
-          | None, Some b -> Spr_core.Tool.Config.with_time_budget b (base_config ())
-          | _ -> base_config ()
-        in
-        note
-          (run_sim ~config ~selfcheck ~profile arch nl ~run_dir ~svg ~checkpoint ~ascii ~stats
-             ~report_k ~clock)
-      | preset ->
-        let config =
-          List.fold_left
-            (fun c (stage, b) -> Spr_core.Tool.Config.with_stage_budget stage b c)
-            (Spr_core.Tool.Config.with_flow_preset preset (base_config ()))
-            stage_budgets
-        in
-        note
-          (run_flow ~flow:preset ~config arch nl ~svg ~checkpoint ~ascii ~stats ~report_k
-             ~clock));
-      (match !errors with
-      | [] -> `Ok ()
-      | errs -> `Error (false, String.concat "\n" (List.rev errs)))))
+      match
+        run_route ~config ?resume_dir:resume ~selfcheck ~profile arch nl ~svg ~checkpoint ~ascii
+          ~stats ~report_k:endpoints ~clock
+      with
+      | Ok () -> `Ok ()
+      | Error e -> `Error (false, e)))
 
 let route_cmd =
   let obs_docs = "OBSERVABILITY OPTIONS" in

@@ -445,15 +445,10 @@ let reset_interrupt () = Atomic.set interrupt_flag false
 
 let interrupt_requested () = Atomic.get interrupt_flag
 
-let install_signal_handlers () =
-  let handle _ = request_interrupt () in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-
-(* Re-entrant variant for embedders (the service daemon, tests, any
-   host process with its own signal discipline): the previous SIGINT
-   and SIGTERM behaviours are saved and restored however the thunk
-   exits, so a nested run cannot clobber the host's handlers. *)
+(* Install the interrupt handlers for the duration of [f] only: the
+   previous SIGINT and SIGTERM behaviours are saved and restored however
+   the thunk exits, so a nested run cannot clobber the host's
+   handlers. *)
 let with_signal_handlers f =
   let handle _ = request_interrupt () in
   let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle handle) in
@@ -553,8 +548,6 @@ let validate_now s =
   | [] -> ()
   | findings -> raise (Audit_failure findings)
 
-type resume = Checkpoint.V2.loaded
-
 let timing_router ~(config : Config.t) ~sta nl =
   if not config.timing_driven_routing then config.router
   else begin
@@ -564,11 +557,15 @@ let timing_router ~(config : Config.t) ~sta nl =
     { config.router with Router.criticality = Some crit }
   end
 
-(* A replica's view of the portfolio it runs in; absent for serial
-   runs (and one-replica portfolios, which ARE serial runs). *)
+(* A replica's view of the fleet it runs in; absent when the fleet has
+   one replica, which then runs exactly the serial anneal. [rep_halt] is
+   the fleet's own stop flag: a replica stopping on wall clock or
+   interrupt raises it so its siblings stop too, leaving the
+   process-wide flag to signals and {!request_interrupt}. *)
 type replica_ctx = {
   rep_index : int;
   rep_sched : Scheduler.t;
+  rep_halt : bool Atomic.t;
 }
 
 (* Swap the session onto a broadcast layout: decode it, rebuild the
@@ -710,21 +707,25 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
   in
   (* Budgets and interruption. The engine polls between moves, so the
      in-flight move always completes; the first tripped condition
-     sticks. In a portfolio, a wall-clock or interrupt stop spreads to
-     the whole fleet so the run directory freezes in one coherent
-     state. A move budget does NOT spread: every replica trips its own
+     sticks. In a fleet, a wall-clock or interrupt stop spreads to
+     every replica through [rep_halt] so the run directory freezes in
+     one coherent state. A move budget does NOT spread: every replica trips its own
      at a deterministic point of its own trajectory, and the barrier
      drops a stopped replica from the active set, so the survivors'
      exchange rounds still trip — fleet results under a move budget
      stay scheduling-independent. *)
   let watch = Spr_util.Clock.start () in
+  let halted () =
+    interrupt_requested ()
+    || match ctx with Some c -> Atomic.get c.rep_halt | None -> false
+  in
   let stop_reason = ref None in
   let should_stop ~moves ~accepted =
     (match !stop_reason with
     | Some _ -> ()
     | None ->
       stop_reason :=
-        (if interrupt_requested () then Some Interrupt
+        (if halted () then Some Interrupt
          else if (match config.budget.poll with Some f -> f () | None -> false) then
            Some Interrupt
          else
@@ -737,9 +738,9 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
                match config.budget.stop_after_accepted with
                | Some k when accepted >= k -> Some Interrupt
                | _ -> None)));
-      (match !stop_reason with
-      | Some (Time_budget | Interrupt) when ctx <> None -> request_interrupt ()
-      | Some Move_budget | Some Interrupt | Some Time_budget | None -> ()));
+      (match !stop_reason, ctx with
+      | Some (Time_budget | Interrupt), Some c -> Atomic.set c.rep_halt true
+      | _ -> ()));
     !stop_reason <> None
   in
   let track_best =
@@ -768,13 +769,13 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
          untripped exchange round without the broadcast it would have
          received uninterrupted, so everything past that point is off the
          uninterrupted trajectory. Suppressing post-interrupt snapshot
-         FILES (portfolio runs only) makes resume replay from the last
+         FILES (multi-replica fleets only) makes resume replay from the last
          faithful boundary — the property that lets a killed fleet
          reproduce the uninterrupted run exactly. The in-memory best
          keeps updating: it only feeds this run's reported result, never
          a resume. *)
       match ckpt_dir with
-      | Some _ when ctx <> None && interrupt_requested () -> ()
+      | Some _ when ctx <> None && halted () -> ()
       | None -> ()
       | Some (dir, seq) ->
         let due =
@@ -808,7 +809,9 @@ let anneal_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~be
         end
     end
   in
-  let resume = Option.map (fun (r : resume) -> r.Checkpoint.V2.data.Checkpoint.V2.engine) resume in
+  let resume =
+    Option.map (fun (r : Checkpoint.V2.loaded) -> r.Checkpoint.V2.data.Checkpoint.V2.engine) resume
+  in
   let anneal_report =
     Spr_anneal.Engine.run ?config:config.anneal ?resume ?start_temperature ~on_temperature
       ~on_checkpoint
@@ -854,7 +857,7 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
   let best =
     ref
       (match resume with
-      | Some (r : resume) ->
+      | Some (r : Checkpoint.V2.loaded) ->
         ( r.Checkpoint.V2.data.Checkpoint.V2.best_cost,
           Some r.Checkpoint.V2.data.Checkpoint.V2.best_layout )
       | None -> (infinity, None))
@@ -892,9 +895,8 @@ let run_session ?resume ?ctx ?start_temperature ~(config : Config.t) ~rng ~t_sta
   let critical_delay = Sta.critical_delay sta in
   let g = Rs.g_count rs and d = Rs.d_count rs in
   let best_cost = best_metric ~rs ~sta in
-  (* A serial run has no separate wall clock: one domain, one replica,
-     so cpu IS wall. The portfolio report overrides this with the
-     fleet-wide elapsed time. *)
+  (* The replica's own report counts cpu as wall; the fleet report
+     overrides this with the fleet-wide elapsed time. *)
   let report =
     {
       Spr_obs.Report.r_label = run_label config;
@@ -987,7 +989,7 @@ let run_fresh ?ctx ?seed_place ?start_temperature ~(config : Config.t) arch nl =
     in
     Ok (run_session ?ctx ?start_temperature ~config ~rng ~t_start s)
 
-let run_resumed ?ctx ~(config : Config.t) ~(resume : resume) nl =
+let run_resumed ?ctx ~(config : Config.t) ~(resume : Checkpoint.V2.loaded) nl =
   let t_start = Sys.time () in
   let data = resume.Checkpoint.V2.data in
   let rs = resume.Checkpoint.V2.route in
@@ -1050,29 +1052,80 @@ let run_resumed ?ctx ~(config : Config.t) ~(resume : resume) nl =
     Ok (run_session ~resume ?ctx ~config ~rng ~t_start s)
   end
 
+(* --- the fleet --- *)
+
+type portfolio_result = {
+  p_best_replica : int;
+  p_results : result array;
+  p_profile : Profile.t;
+  p_exchanges : Portfolio.round_result list;
+  p_scheds : Scheduler.round_record list;
+  p_wall_seconds : float;
+  p_report : Spr_obs.Report.t;
+}
+
+let best_result p = p.p_results.(p.p_best_replica)
+
 (* --- trace assembly ---
-   One shared assembler produces [run_start :: replica streams ::
-   exchange records :: run_end] for serial and portfolio runs alike, so
-   a one-replica portfolio's trace is bit-identical to the serial
-   one. *)
+   One framer for every trace: [run_start :: replica streams ::
+   exchange records :: racing rows :: run_end]. A fleet contributes one
+   stream per replica, each closed by its [replica_end]; a layout that
+   no anneal produced (a flow without an sa stage) contributes the
+   [lead] events alone. *)
 
-let replica_end_event ~replica (r : result) =
-  {
-    Spr_obs.Trace.ev_replica = replica;
-    ev =
-      Spr_obs.Trace.Replica_end
-        {
-          status = Outcome.status_to_string r.status;
-          g = r.g;
-          d = r.d;
-          delay_ns = r.critical_delay;
-          best_cost = r.best_cost;
-        };
-  }
+type traced =
+  | Fleet of portfolio_result
+  | Layout of { route : Rs.t; sta : Sta.t; wall_seconds : float }
 
-let assemble_trace ~(config : Config.t) ~nl ~replicas ~streams ~exchanges ~scheds ~status ~g ~d
-    ~delay_ns ~best_cost ~wall_seconds =
+let trace_events ~(config : Config.t) ?(lead = []) nl traced =
   let fleet ev = { Spr_obs.Trace.ev_replica = -1; ev } in
+  let replicas, streams, exchanges, scheds, run_end =
+    match traced with
+    | Fleet p ->
+      let best = best_result p in
+      let stream k (r : result) =
+        let replica_end =
+          Spr_obs.Trace.Replica_end
+            {
+              status = Outcome.status_to_string r.status;
+              g = r.g;
+              d = r.d;
+              delay_ns = r.critical_delay;
+              best_cost = r.best_cost;
+            }
+        in
+        (if k = 0 then lead else [])
+        @ r.events
+        @ [ { Spr_obs.Trace.ev_replica = k; ev = replica_end } ]
+      in
+      ( Array.length p.p_results,
+        List.mapi stream (Array.to_list p.p_results),
+        p.p_exchanges,
+        p.p_scheds,
+        Spr_obs.Trace.Run_end
+          {
+            status = Outcome.status_to_string best.status;
+            g = best.g;
+            d = best.d;
+            delay_ns = best.critical_delay;
+            best_cost = best.best_cost;
+            wall_seconds = p.p_wall_seconds;
+          } )
+    | Layout { route; sta; wall_seconds } ->
+      ( 1,
+        [ lead ],
+        [],
+        [],
+        Spr_obs.Trace.Run_end
+          {
+            status = Outcome.status_to_string Completed;
+            g = Rs.g_count route;
+            d = Rs.d_count route;
+            delay_ns = Sta.critical_delay sta;
+            best_cost = best_metric ~rs:route ~sta;
+            wall_seconds;
+          } )
+  in
   let start =
     fleet
       (Spr_obs.Trace.Run_start
@@ -1124,18 +1177,7 @@ let assemble_trace ~(config : Config.t) ~nl ~replicas ~streams ~exchanges ~sched
           r.Scheduler.sr_kills)
       scheds
   in
-  let stop =
-    fleet (Spr_obs.Trace.Run_end { status; g; d; delay_ns; best_cost; wall_seconds })
-  in
-  (start :: List.concat streams) @ rounds @ sched_rows @ [ stop ]
-
-let trace_events ~config nl (r : result) =
-  assemble_trace ~config ~nl ~replicas:1
-    ~streams:[ r.events @ [ replica_end_event ~replica:0 r ] ]
-    ~exchanges:[] ~scheds:[]
-    ~status:(Outcome.status_to_string r.status)
-    ~g:r.g ~d:r.d ~delay_ns:r.critical_delay ~best_cost:r.best_cost
-    ~wall_seconds:r.cpu_seconds
+  (start :: List.concat streams) @ rounds @ sched_rows @ [ fleet run_end ]
 
 let write_report_file path report =
   Spr_util.Persist.atomic_write path
@@ -1150,73 +1192,15 @@ let recording_wanted (config : Config.t) =
    streaming sink (buffered copy still feeds trace assembly); plain
    recording buffers in memory; otherwise the null sink keeps every
    instrumentation point a strict no-op. The hook runs on the emitting
-   domain — portfolio replicas share it, so it must do its own
-   locking. *)
+   domain — replicas share it, so it must do its own locking. *)
 let replica_sink (config : Config.t) =
   match config.Config.obs.Config.on_event with
   | Some f when recording_wanted config -> Spr_obs.Sink.stream f
   | _ -> if recording_wanted config then Spr_obs.Sink.memory () else Spr_obs.Sink.null
 
-let run ?(config = Config.default) ?resume ?seed_place ?start_temperature arch nl =
-  match Config.validated config with
-  | Error msg -> Error (Invalid_config msg)
-  | Ok config -> (
-    match Spr_netlist.Levelize.run nl with
-    | Error e -> Error (Invalid_design e)
-    | Ok _ -> (
-      let sink = replica_sink config in
-      let outcome =
-        try
-          Spr_obs.Obs.with_recording ~sink ~replica:0 (fun () ->
-              match resume with
-              | Some resume -> run_resumed ~config ~resume nl
-              | None -> run_fresh ?seed_place ?start_temperature ~config arch nl)
-        with Audit_failure findings -> Error (Audit_failed findings)
-      in
-      match outcome with
-      | Error e -> Error e
-      | Ok r ->
-        let r = { r with events = Spr_obs.Sink.events sink } in
-        (match config.obs.trace_path with
-        | Some path -> Spr_obs.Trace.to_file path (trace_events ~config nl r)
-        | None -> ());
-        (match config.obs.report_path with
-        | Some path -> write_report_file path r.report
-        | None -> ());
-        Ok r))
+(* --- the runner --- *)
 
-let run_exn ?config ?resume ?seed_place ?start_temperature arch nl =
-  match run ?config ?resume ?seed_place ?start_temperature arch nl with
-  | Ok r -> r
-  | Error e -> raise (Tool_error e)
-
-(* --- parallel portfolio --- *)
-
-type portfolio_result = {
-  p_best_replica : int;
-  p_results : result array;
-  p_profile : Profile.t;
-  p_exchanges : Portfolio.round_result list;
-  p_scheds : Scheduler.round_record list;
-  p_wall_seconds : float;
-  p_report : Spr_obs.Report.t;
-}
-
-let best_result p = p.p_results.(p.p_best_replica)
-
-let portfolio_trace_events ~config nl (p : portfolio_result) =
-  let best = best_result p in
-  assemble_trace ~config ~nl
-    ~replicas:(Array.length p.p_results)
-    ~streams:
-      (Array.to_list
-         (Array.mapi (fun k r -> r.events @ [ replica_end_event ~replica:k r ]) p.p_results))
-    ~exchanges:p.p_exchanges ~scheds:p.p_scheds
-    ~status:(Outcome.status_to_string best.status)
-    ~g:best.g ~d:best.d ~delay_ns:best.critical_delay ~best_cost:best.best_cost
-    ~wall_seconds:p.p_wall_seconds
-
-let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature arch nl =
+let run ?(config = Config.default) ?resume_dir ?seed_place ?start_temperature arch nl =
   match Config.validated config with
   | Error msg -> Error (Invalid_config msg)
   | Ok config -> (
@@ -1224,10 +1208,9 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
     | Error e -> Error (Invalid_design e)
     | Ok _ ->
       let replicas = config.parallel.replicas in
-      (* A previous fleet (or fault injection) may have left the stop
-         flag raised; a new fleet starts clean. Signal handlers can
-         re-raise it at any time. *)
-      reset_interrupt ();
+      (* This run's own stop flag; see [replica_ctx]. *)
+      let halt = Atomic.make false in
+      let frozen () = interrupt_requested () || Atomic.get halt in
       let wall = Spr_util.Clock.start () in
       let gc0 = Gc.quick_stat () in
       let sched =
@@ -1244,7 +1227,7 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
           in
           Scheduler.barrier
             (Portfolio.create ~replicas ~exchange:config.parallel.exchange ~history ~persist
-               ~frozen:interrupt_requested ())
+               ~frozen ())
         | `Racing ->
           let sc = config.parallel.scheduler in
           let history =
@@ -1269,20 +1252,22 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
               horizon = sc.Config.race_horizon;
               sync = sc.Config.race_sync;
             }
-            ~history ~persist ~frozen:interrupt_requested ()
+            ~history ~persist ~frozen ()
       in
       let sinks = Array.init replicas (fun _ -> replica_sink config) in
       let worker k =
-        (* One replica IS the serial path: no coordination, the
-           configured stream, unprefixed snapshot files — bit-identical
-           to [run]. With more replicas, replica [k] draws stream [k],
-           so the winner can be reproduced standalone via
-           [Config.with_stream k]. *)
+        (* One replica is the serial run: no coordination, the
+           configured stream, unprefixed snapshot files. With more
+           replicas, replica [k] draws stream [k], so the winner can be
+           reproduced standalone via [Config.with_stream k]. *)
         let config =
           if replicas = 1 then config
           else { config with Config.parallel = { config.Config.parallel with Config.stream = k } }
         in
-        let ctx = if replicas = 1 then None else Some { rep_index = k; rep_sched = sched } in
+        let ctx =
+          if replicas = 1 then None
+          else Some { rep_index = k; rep_sched = sched; rep_halt = halt }
+        in
         let body () =
           Spr_obs.Obs.with_recording ~sink:sinks.(k) ~replica:k (fun () ->
               try
@@ -1352,15 +1337,15 @@ let run_portfolio ?(config = Config.default) ?resume_dir ?seed_place ?start_temp
           }
         in
         (match config.obs.trace_path with
-        | Some path -> Spr_obs.Trace.to_file path (portfolio_trace_events ~config nl p)
+        | Some path -> Spr_obs.Trace.to_file path (trace_events ~config nl (Fleet p))
         | None -> ());
         (match config.obs.report_path with
         | Some path -> write_report_file path p_report
         | None -> ());
         Ok p)
 
-let run_portfolio_exn ?config ?resume_dir ?seed_place ?start_temperature arch nl =
-  match run_portfolio ?config ?resume_dir ?seed_place ?start_temperature arch nl with
+let run_exn ?config ?resume_dir ?seed_place ?start_temperature arch nl =
+  match run ?config ?resume_dir ?seed_place ?start_temperature arch nl with
   | Ok r -> r
   | Error e -> raise (Tool_error e)
 

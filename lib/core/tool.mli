@@ -14,27 +14,28 @@
     deliberately incomplete: unroutable nets simply stay queued and
     penalized until the placement becomes compliant.
 
-    {b Crash safety.} With a run directory set, the run writes an
+    {b One runner.} {!run} anneals a fleet of [config.parallel.replicas]
+    replicas on separate OCaml domains, each with its own RNG stream
+    derived by {!Spr_util.Rng.stream}, its own pipeline, route state and
+    profile. The serial anneal is the one-replica fleet: no domain is
+    spawned, no scheduler coordinates it, it draws the configured
+    [stream], and its snapshots carry no replica prefix. Replicas of a
+    larger fleet either run fully independently or periodically adopt
+    the fleet-best layout ({!Spr_anneal.Portfolio.exchange}); either way
+    each replica's trajectory is a deterministic function of
+    [(seed, replica_index)].
+
+    {b Crash safety.} With a run directory set, every replica writes an
     atomic, checksummed {!Checkpoint.V2} snapshot at temperature
     boundaries and on interruption, rotating the last [snapshot_keep]
-    files. Feeding the newest loadable snapshot back through [?resume]
-    continues the run mid-schedule, bit-identically to the
-    uninterrupted run. Budgets and {!request_interrupt} (or the
-    SIGINT/SIGTERM handlers from {!install_signal_handlers}) stop the
-    run between moves — the in-flight move always completes — write a
-    final checkpoint, and return the best layout seen so far tagged
-    [Interrupted].
-
-    {b Parallel portfolio.} {!run_portfolio} runs K replicas of the
-    whole anneal on separate OCaml domains, each with its own RNG
-    stream derived by {!Spr_util.Rng.stream}, its own pipeline, route
-    state and profile. Replicas either run fully independently or
-    periodically adopt the portfolio-best layout
-    ({!Spr_anneal.Portfolio.exchange}); either way each replica's
-    trajectory is a deterministic function of [(seed, replica_index)],
-    a one-replica portfolio is bit-identical to {!run}, and the fleet
-    checkpoints/resumes through the same crash-safety layer
-    (per-replica snapshots plus persisted exchange rounds). *)
+    files; exchange and racing rounds are persisted next to them.
+    Passing the directory back as [?resume_dir] continues every replica
+    mid-schedule from its newest loadable snapshot, bit-identically to
+    the uninterrupted run. Budgets and {!request_interrupt} (or the
+    SIGINT/SIGTERM handlers of {!with_signal_handlers}) stop the run
+    between moves — the in-flight move always completes — write a final
+    checkpoint, and return the best layout seen so far tagged
+    [Interrupted]. *)
 
 (** Grouped, validated run configuration.
 
@@ -154,11 +155,12 @@ module Config : sig
         (** Which replica scheduler coordinates the fleet; only
             meaningful when [replicas > 1]. *)
     stream : int;
-        (** Which derived RNG stream ({!Spr_util.Rng.stream}) a serial
-            run draws from; stream 0 is exactly [Rng.create seed].
-            {!run_portfolio} overrides this per replica, so re-running
-            the winning replica standalone is just a serial run with
-            [with_stream k]. Must be >= 0. *)
+        (** Which derived RNG stream ({!Spr_util.Rng.stream}) a
+            one-replica run draws from; stream 0 is exactly
+            [Rng.create seed]. A fleet of [K > 1] replicas overrides
+            this per replica (replica [k] draws stream [k]), so
+            re-running the winning replica standalone is just a
+            one-replica run with [with_stream k]. Must be >= 0. *)
   }
 
   type obs = {
@@ -186,11 +188,12 @@ module Config : sig
   type flow = {
     preset : string;
         (** Named flow preset ([sa], [ap+sa], [ap+greedy+route], [seq])
-            or any ['+']-joined chain of valid stage names. The tool's
-            own entry points only ever run the [sa] stage; the full
-            multi-stage interpretation lives in [Spr_flow] (which sits
-            above this library) — the vocabulary and validation live
-            here so {!validated} rejects bad flows up front. *)
+            or any ['+']-joined chain of valid stage names. {!run} is
+            the anneal alone (the [sa] stage) and ignores this field;
+            [Spr_flow.run] (which sits above this library) interprets
+            it, for [sa] as much as for multi-stage presets. The
+            vocabulary and validation live here so {!validated} rejects
+            bad flows up front. *)
     stage_budgets : (string * float) list;
         (** Per-stage wall-second budgets, keyed by stage name. Every
             key must be a stage of the chosen preset and every budget a
@@ -395,59 +398,17 @@ type result = {
           metric (unrouted nets dominate, critical delay breaks
           ties). *)
   report : Spr_obs.Report.t;
-      (** The unified run report: routing summary, pipeline breakdown,
-          dynamics rows and metrics snapshot in one versioned record —
-          callers render or export this instead of re-deriving the
-          numbers from the fields above. For a serial run
-          [r_wall_seconds = r_cpu_seconds]. *)
+      (** This replica's run report: routing summary, pipeline
+          breakdown, dynamics rows and metrics snapshot in one
+          versioned record, with [r_wall_seconds = r_cpu_seconds]. The
+          fleet-level report is [p_report]. *)
   events : Spr_obs.Trace.event list;
       (** This replica's raw observability stream (spans, temperature
           rows, metrics dump), tagged with its replica index; empty
           unless [Config.obs] enabled recording. The run-level framing
           is added by {!trace_events}. *)
 }
-
-type resume = Checkpoint.V2.loaded
-
-val run :
-  ?config:config ->
-  ?resume:resume ->
-  ?seed_place:Spr_layout.Placement.slot array * int array ->
-  ?start_temperature:float ->
-  Spr_arch.Arch.t ->
-  Spr_netlist.Netlist.t ->
-  (result, error) Stdlib.result
-(** With [?resume] the initial placement and routing are skipped and the
-    run continues from the snapshot's exact mid-schedule state ([arch]
-    is ignored — the restored layout carries its fabric). [config]
-    should match the interrupted run's; the annealing schedule itself
-    always comes from the snapshot.
-
-    [?seed_place] starts the anneal from the given placement — per-cell
-    slots and pinmaps, plain data so callers (and portfolio replicas)
-    never share a mutable layout — instead of a random one; it is
-    materialized through {!Spr_layout.Placement.create_from}, so an
-    inconsistent seed is [Error (Invalid_design _)].
-    [?start_temperature] skips the warmup walk and starts cooling at
-    the given temperature (see {!Spr_anneal.Engine.run}) — the flow
-    layer derives it from the seed placement's cost distribution. Both
-    are ignored under [?resume]. *)
-
-val run_exn :
-  ?config:config ->
-  ?resume:resume ->
-  ?seed_place:Spr_layout.Placement.slot array * int array ->
-  ?start_temperature:float ->
-  Spr_arch.Arch.t ->
-  Spr_netlist.Netlist.t ->
-  result
-
-val trace_events : config:config -> Spr_netlist.Netlist.t -> result -> Spr_obs.Trace.event list
-(** The complete serial-run trace: [run_start], the replica's event
-    stream closed by its [replica_end], then [run_end]. This is exactly
-    what [Config.obs.trace_path] writes. *)
-
-(** {1 Parallel portfolio} *)
+(** One replica's outcome. *)
 
 type portfolio_result = {
   p_best_replica : int;
@@ -469,18 +430,14 @@ type portfolio_result = {
           numbers with the merged pipeline/metrics, summed cpu, the
           fleet wall clock and the exchange-round count. *)
 }
+(** A run's outcome: the fleet, of one replica unless
+    [Config.parallel.replicas > 1]. *)
 
 val best_result : portfolio_result -> result
-(** [p.p_results.(p.p_best_replica)]. *)
+(** [p.p_results.(p.p_best_replica)] — for a one-replica run, its only
+    result. *)
 
-val portfolio_trace_events :
-  config:config -> Spr_netlist.Netlist.t -> portfolio_result -> Spr_obs.Trace.event list
-(** The merged fleet trace: [run_start], each replica's stream (closed
-    by its [replica_end]) in replica order, the exchange rounds, the
-    racing [sched.kill]/[sched.clone] rows, then [run_end]. A one-replica portfolio's trace is bit-identical to the
-    serial {!trace_events} once timestamps are masked. *)
-
-val run_portfolio :
+val run :
   ?config:config ->
   ?resume_dir:string ->
   ?seed_place:Spr_layout.Placement.slot array * int array ->
@@ -490,23 +447,40 @@ val run_portfolio :
   (portfolio_result, error) Stdlib.result
 (** Run [config.parallel.replicas] replicas of the anneal
     concurrently, replica [k] drawing from RNG stream [k] (replica 0
-    on the calling domain). With one replica this {e is} {!run} — no
-    domain is spawned, the configured [stream] is honoured, and the
-    output (including snapshot file names) is bit-identical to the
-    serial path. With more, replica [k] writes
+    on the calling domain). One replica is the serial anneal: no domain
+    is spawned, the configured [stream] is honoured, and snapshots are
+    named [snap-NNNNNNNN.ckpt]. With more, replica [k] writes
     [snap-r<k>-NNNNNNNN.ckpt] snapshots into the shared run directory
     and [Best_exchange] rounds are persisted as [exch-*.rec] records
     before any replica acts on them; the racing scheduler likewise
     persists its killing decision rounds as [sched-*.rec] records.
-    [?resume_dir] restores the whole
-    fleet: each replica resumes from its newest loadable snapshot
-    (restarting from scratch deterministically when it has none) and
-    recorded exchange/scheduler rounds are replayed, so a
-    killed-and-resumed portfolio matches the uninterrupted one. Interruption (signals,
-    {!request_interrupt}, any replica's budget) stops every replica
-    gracefully and freezes further exchanges. *)
 
-val run_portfolio_exn :
+    [?resume_dir] restores the whole fleet: each replica resumes from
+    its newest loadable snapshot (restarting from scratch
+    deterministically when it has none) and recorded exchange/scheduler
+    rounds are replayed, so a killed-and-resumed run matches the
+    uninterrupted one. A resumed replica's [arch] comes from its
+    snapshot, and its annealing schedule always does; [config] should
+    match the interrupted run's.
+
+    Interruption — signals, {!request_interrupt}, or any replica
+    stopping on its wall-clock budget or on an interrupt — stops every
+    replica gracefully and freezes further exchanges. A fleet-internal
+    stop raises this run's own flag, never the process-wide one, and
+    the runner never clears the process-wide flag: an interrupt
+    requested before the call stops the run at its first move.
+
+    [?seed_place] starts every fresh replica from the given placement —
+    per-cell slots and pinmaps, plain data so replicas never share a
+    mutable layout — instead of a random one; it is materialized
+    through {!Spr_layout.Placement.create_from}, so an inconsistent seed
+    is [Error (Invalid_design _)]. [?start_temperature] skips the
+    warmup walk and starts cooling at the given temperature (see
+    {!Spr_anneal.Engine.run}) — the flow layer derives it from the seed
+    placement's cost distribution. Both are ignored by a replica that
+    resumes from a snapshot. *)
+
+val run_exn :
   ?config:config ->
   ?resume_dir:string ->
   ?seed_place:Spr_layout.Placement.slot array * int array ->
@@ -515,6 +489,30 @@ val run_portfolio_exn :
   Spr_netlist.Netlist.t ->
   portfolio_result
 
+type traced =
+  | Fleet of portfolio_result
+  | Layout of {
+      route : Spr_route.Route_state.t;
+      sta : Spr_timing.Sta.t;
+      wall_seconds : float;
+    }
+      (** A layout no anneal produced (a flow without an [sa] stage):
+          its trace is the [lead] events alone, framed as one
+          completed replica-less run. *)
+
+val trace_events :
+  config:config ->
+  ?lead:Spr_obs.Trace.event list ->
+  Spr_netlist.Netlist.t ->
+  traced ->
+  Spr_obs.Trace.event list
+(** The complete trace: [run_start], each replica's stream (closed by
+    its [replica_end]) in replica order, the exchange rounds, the
+    racing [sched.kill]/[sched.clone] rows, then [run_end]. [lead]
+    (default empty) opens replica 0's stream — the flow engine puts its
+    stage spans there. [trace_events ~config nl (Fleet p)] is exactly
+    what [Config.obs.trace_path] writes. *)
+
 val audit_result : result -> Spr_check.Finding.t list
 (** Run the full audit subsystem over a finished layout (placement,
     routing mirrors, STA) — what [spr route --selfcheck] prints. Empty
@@ -522,10 +520,11 @@ val audit_result : result -> Spr_check.Finding.t list
 
 (** {1 Graceful interruption}
 
-    A process-wide atomic flag polled between moves — by every replica,
-    when a portfolio is running. The CLI installs handlers so Ctrl-C
-    finishes the in-flight moves, writes final checkpoints and returns
-    the best-so-far result instead of dying mid-update. *)
+    A process-wide atomic flag polled between moves by every replica.
+    The CLI installs handlers so Ctrl-C finishes the in-flight moves,
+    writes final checkpoints and returns the best-so-far result instead
+    of dying mid-update. Only signals and {!request_interrupt} raise the
+    flag, and only {!reset_interrupt} clears it; {!run} does neither. *)
 
 val request_interrupt : unit -> unit
 
@@ -533,13 +532,8 @@ val reset_interrupt : unit -> unit
 
 val interrupt_requested : unit -> bool
 
-val install_signal_handlers : unit -> unit
-(** Route SIGINT and SIGTERM to {!request_interrupt}. Process-wide and
-    permanent — for a plain CLI run that owns the process. Embedders
-    should prefer {!with_signal_handlers}. *)
-
 val with_signal_handlers : (unit -> 'a) -> 'a
-(** Re-entrant form: install the interrupt handlers for the duration of
-    the thunk and restore the {e previous} SIGINT/SIGTERM behaviours
-    afterwards (exception-safe), so nested or daemon-hosted runs do not
-    clobber the host process's signal discipline. *)
+(** Route SIGINT and SIGTERM to {!request_interrupt} for the duration
+    of the thunk and restore the {e previous} behaviours afterwards
+    (exception-safe), so nested or daemon-hosted runs do not clobber
+    the host process's signal discipline. *)

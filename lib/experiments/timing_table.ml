@@ -28,7 +28,9 @@ let run_circuit ?(effort = Profiles.Standard) ?(seed = 1) spec =
   let nl = Circuits.make spec in
   let n = Spr_netlist.Netlist.n_cells nl in
   let tracks, arch, seq = find_seq_width nl ~effort ~seed ~tracks:28 ~limit:48 in
-  let sim = Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl in
+  let sim =
+    Tool.best_result (Tool.run_exn ~config:(Profiles.tool_config ~seed effort ~n) arch nl)
+  in
   let improvement =
     100.0
     *. (seq.Spr_flow.f_critical_delay -. sim.Tool.critical_delay)

@@ -47,7 +47,6 @@ type st = {
   mutable rs : Rs.t option;
   mutable sta : Sta.t option;
   mutable seed_temp : float option;
-  mutable tool : Tool.result option;
   mutable portfolio : Tool.portfolio_result option;
   mutable stages : stage_record list;  (* reversed *)
   mutable flow_events : Trace.event list;
@@ -60,7 +59,6 @@ let fresh_st () =
     rs = None;
     sta = None;
     seed_temp = None;
-    tool = None;
     portfolio = None;
     stages = [];
     flow_events = [];
@@ -96,7 +94,7 @@ let stage_deadline (config : C.t) name =
    the probed seed temperature (bit-exact hex); each completed stage
    leaves a v1 layout checkpoint next to it. The in-flight sa stage
    additionally rides the existing V2 snapshot machinery through
-   [Tool.run_portfolio ~resume_dir]. *)
+   [Tool.run ~resume_dir]. *)
 
 let flow_schema = "spr-flow-1"
 
@@ -329,15 +327,12 @@ let run_sta st ~(config : C.t) ~want_events =
    output is deferred: the sa sub-run records events in memory (when a
    trace was requested) and the flow assembles the final file, so the
    stage spans of the whole flow land in one [spr-trace-1] stream. *)
-let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
-  let seed =
-    match st.place with Some place -> Some (seed_data place nl) | None -> None
-  in
-  (match seed, st.seed_temp with
+let run_sa st ~(config : C.t) ~want_events ?resume_dir arch nl =
+  let seed_place = Option.map (fun place -> seed_data place nl) st.place in
+  (match seed_place, st.seed_temp with
   | Some (slots, pinmaps), None ->
     let (), _ =
-      record_stage st ~want_events:(multi_stage && orig.C.obs.C.trace_path <> None)
-        ~name:"probe" (fun () ->
+      record_stage st ~want_events ~name:"probe" (fun () ->
           st.seed_temp <- probe_temperature ~config arch nl ~slots ~pinmaps)
     in
     (* The temperature must survive a crash inside sa: a replica that
@@ -347,7 +342,6 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
     | Some dir -> write_flow_state ~dir ~preset:config.C.flow.C.preset st
     | None -> ())
   | _ -> ());
-  let seed_place = seed in
   let start_temperature = st.seed_temp in
   (* A seeded anneal starts past the melt, so the full cooling-count
      cap (sized for melt -> freeze) would let it wander for the whole
@@ -379,77 +373,41 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
         }
         config
   in
-  let sa_config =
-    if multi_stage then begin
-      let budgeted =
-        match List.assoc_opt "sa" config.C.flow.C.stage_budgets with
-        | None -> config
-        | Some b ->
-          let tighter =
-            match config.C.budget.C.time_budget with
-            | Some t -> Float.min t b
-            | None -> b
-          in
-          C.with_time_budget tighter config
-      in
-      (* Strip the trace path: the flow writes the assembled trace
-         itself; keep recording on so the sa events come back. *)
-      {
-        budgeted with
-        C.obs =
-          {
-            budgeted.C.obs with
-            C.trace_path = None;
-            record = budgeted.C.obs.C.record || orig.C.obs.C.trace_path <> None;
-          };
-      }
-    end
-    else config
+  (* The sa stage budget tightens the run's own time budget, for every
+     preset. The trace path is stripped because the flow writes the
+     assembled trace itself; recording stays on so the sa events come
+     back. *)
+  let config =
+    match List.assoc_opt "sa" config.C.flow.C.stage_budgets with
+    | None -> config
+    | Some b ->
+      C.with_time_budget (Option.fold ~none:b ~some:(Float.min b) config.C.budget.C.time_budget)
+        config
+  in
+  let config =
+    {
+      config with
+      C.obs =
+        { config.C.obs with C.trace_path = None; record = config.C.obs.C.record || want_events };
+    }
   in
   let watch = Spr_util.Clock.start () in
-  let adopt_result (r : Tool.result) =
+  match Tool.run ~config ?resume_dir ?seed_place ?start_temperature arch nl with
+  | Error e -> Error e
+  | Ok p ->
+    let r = Tool.best_result p in
+    st.portfolio <- Some p;
     st.place <- Some r.Tool.place;
     st.rs <- Some r.Tool.route;
-    st.sta <- Some r.Tool.sta
-  in
-  let out =
-    if (not multi_stage) && sa_config.C.parallel.C.replicas = 1 && resume_dir = None then
-      (* The legacy single-stage path, bit-identical to [Tool.run]. *)
-      match Tool.run ~config:sa_config arch nl with
-      | Error e -> Error e
-      | Ok r ->
-        st.tool <- Some r;
-        adopt_result r;
-        Ok ()
-    else
-      match
-        Tool.run_portfolio ~config:sa_config ?resume_dir ?seed_place ?start_temperature arch nl
-      with
-      | Error e -> Error e
-      | Ok p ->
-        st.portfolio <- Some p;
-        adopt_result (Tool.best_result p);
-        Ok ()
-  in
-  match out with
-  | Error e -> Error e
-  | Ok () ->
+    st.sta <- Some r.Tool.sta;
     let detail =
-      match st.tool, st.portfolio with
-      | Some r, _ ->
-        Printf.sprintf "%d moves%s" r.Tool.anneal_report.Spr_anneal.Engine.n_moves
-          (match start_temperature with
-          | Some t -> Printf.sprintf ", seeded T0=%.4g" t
-          | None -> "")
-      | None, Some p ->
-        let r = Tool.best_result p in
-        Printf.sprintf "%d moves (best of %d)%s"
-          r.Tool.anneal_report.Spr_anneal.Engine.n_moves
-          (Array.length p.Tool.p_results)
-          (match start_temperature with
-          | Some t -> Printf.sprintf ", seeded T0=%.4g" t
-          | None -> "")
-      | None, None -> ""
+      Printf.sprintf "%d moves%s%s" r.Tool.anneal_report.Spr_anneal.Engine.n_moves
+        (match Array.length p.Tool.p_results with
+        | 1 -> ""
+        | k -> Printf.sprintf " (best of %d)" k)
+        (match start_temperature with
+        | Some t -> Printf.sprintf ", seeded T0=%.4g" t
+        | None -> "")
     in
     push_stage st ~name:"sa" ~seconds:(Spr_util.Clock.elapsed watch) ~detail;
     Ok ()
@@ -458,8 +416,8 @@ let run_sa st ~(config : C.t) ~(orig : C.t) ?resume_dir ~multi_stage arch nl =
 
 (* Skip the longest prefix of [stages] that a previous run completed,
    restoring the last completed stage's layout. Unloadable state means
-   a fresh start (mirroring [Tool.run_portfolio]'s per-replica
-   fallback): determinism replays the lost trajectory. *)
+   a fresh start (mirroring [Tool.run]'s per-replica fallback):
+   determinism replays the lost trajectory. *)
 let restore ~resume_dir ~preset ~stages st nl =
   match read_flow_state ~dir:resume_dir ~preset with
   | Error _ -> 0
@@ -486,47 +444,6 @@ let restore ~resume_dir ~preset ~stages st nl =
         k
     end
 
-(* --- trace assembly --- *)
-
-let fleet ev = { Trace.ev_replica = -1; ev }
-
-let write_flow_trace ~(orig : C.t) ~path st nl wall_seconds =
-  match st.tool, st.portfolio with
-  | Some r, _ ->
-    let r = { r with Tool.events = st.flow_events @ r.Tool.events } in
-    Trace.to_file path (Tool.trace_events ~config:orig nl r)
-  | None, Some p ->
-    let k = 0 in
-    p.Tool.p_results.(k) <-
-      {
-        (p.Tool.p_results.(k)) with
-        Tool.events = st.flow_events @ p.Tool.p_results.(k).Tool.events;
-      };
-    Trace.to_file path (Tool.portfolio_trace_events ~config:orig nl p)
-  | None, None ->
-    (* No sa stage ran: frame the stage spans by hand. *)
-    let rs = Option.get st.rs in
-    let sta = Option.get st.sta in
-    let g = Rs.g_count rs and d = Rs.d_count rs in
-    let delay_ns = Sta.critical_delay sta in
-    let best_cost = (float_of_int (g + d) *. 1e9) +. delay_ns in
-    let start =
-      fleet
-        (Trace.Run_start
-           {
-             label = Option.value orig.C.obs.C.label ~default:"run";
-             seed = orig.C.seed;
-             replicas = 1;
-             n_cells = Spr_netlist.Netlist.n_cells nl;
-             n_nets = Spr_netlist.Netlist.n_nets nl;
-           })
-    in
-    let stop =
-      fleet
-        (Trace.Run_end { status = "completed"; g; d; delay_ns; best_cost; wall_seconds })
-    in
-    Trace.to_file path ((start :: st.flow_events) @ [ stop ])
-
 (* --- the engine --- *)
 
 let run ?(config = Tool.default_config) ?resume_dir arch nl =
@@ -543,7 +460,7 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
         | Error _ -> assert false (* validated above *)
       in
       let multi_stage = stages <> [ "sa" ] in
-      let want_events = multi_stage && config.C.obs.C.trace_path <> None in
+      let want_events = config.C.obs.C.trace_path <> None in
       let st = fresh_st () in
       let watch = Spr_util.Clock.start () in
       let skip =
@@ -567,7 +484,7 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
                 (* Pass the resume dir through so an in-flight sa
                    continues from its V2 snapshots; a fresh sa with no
                    snapshots starts deterministically from the seed. *)
-                run_sa st ~config ~orig:config ?resume_dir ~multi_stage arch nl
+                run_sa st ~config ~want_events ?resume_dir arch nl
               | other ->
                 Error (Tool.Invalid_config (Printf.sprintf "unknown flow stage %s" other))
           in
@@ -580,10 +497,9 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
             let stage_complete =
               stage <> "sa"
               ||
-              match st.tool, st.portfolio with
-              | Some r, _ -> r.Tool.status = Tool.Completed
-              | None, Some p -> (Tool.best_result p).Tool.status = Tool.Completed
-              | None, None -> true
+              match st.portfolio with
+              | Some p -> (Tool.best_result p).Tool.status = Tool.Completed
+              | None -> true
             in
             if idx >= skip && stage_complete then begin
               st.completed <- stage :: st.completed;
@@ -602,11 +518,18 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
         let place = Option.get st.place in
         let rs = match st.rs with Some rs -> rs | None -> Rs.create place in
         let sta = match st.sta with Some s -> s | None -> Sta.create config.C.delay_model rs in
-        let wall_seconds = Spr_util.Clock.elapsed watch in
-        (if multi_stage then
-           match config.C.obs.C.trace_path with
-           | Some path -> write_flow_trace ~orig:config ~path st nl wall_seconds
-           | None -> ());
+        (* One trace for the whole flow: the stage spans open the sa
+           fleet's replica 0 stream, or stand alone when no sa ran. *)
+        (match config.C.obs.C.trace_path with
+        | Some path ->
+          let traced =
+            match st.portfolio with
+            | Some p -> Tool.Fleet p
+            | None ->
+              Tool.Layout { route = rs; sta; wall_seconds = Spr_util.Clock.elapsed watch }
+          in
+          Trace.to_file path (Tool.trace_events ~config ~lead:st.flow_events nl traced)
+        | None -> ());
         Ok
           {
             f_place = place;
@@ -618,17 +541,16 @@ let run ?(config = Tool.default_config) ?resume_dir arch nl =
             f_fully_routed = Rs.fully_routed rs;
             f_stages = List.rev st.stages;
             f_seed_temperature = st.seed_temp;
-            f_tool = st.tool;
+            f_tool = None;
             f_portfolio = st.portfolio;
           }))
 
 let stage_seconds r = List.fold_left (fun acc s -> acc +. s.sg_seconds) 0.0 r.f_stages
 
 let sa_moves r =
-  match r.f_tool, r.f_portfolio with
-  | Some t, _ -> t.Tool.anneal_report.Spr_anneal.Engine.n_moves
-  | None, Some p -> (Tool.best_result p).Tool.anneal_report.Spr_anneal.Engine.n_moves
-  | None, None -> 0
+  match r.f_portfolio with
+  | Some p -> (Tool.best_result p).Tool.anneal_report.Spr_anneal.Engine.n_moves
+  | None -> 0
 
 let run_exn ?config ?resume_dir arch nl =
   match run ?config ?resume_dir arch nl with

@@ -19,11 +19,12 @@
     [ap+greedy+route], [seq]) and the validation rules live in
     {!Spr_core.Tool.Config} (the [flow] sub-record) so every entry
     point rejects bad flows up front; this module is the interpreter.
-    Preset [sa] with one replica and no resume delegates verbatim to
-    [Tool.run], keeping the legacy CLI path bit-identical.
+    The [sa] stage is one {!Spr_core.Tool.run} call under every preset,
+    the plain anneal [sa] included.
 
     Per-stage wall-clock budgets ([Config.flow.stage_budgets]) bound
-    each stage; completed stage boundaries are persisted under
+    each stage; the [sa] budget tightens [Config.budget.time_budget]
+    under every preset. Completed stage boundaries are persisted under
     [Config.persistence.run_dir] ([flow.json] plus a v1 layout
     checkpoint per stage) so an interrupted multi-stage flow resumes at
     the last boundary, while an in-flight [sa] stage rides the existing
@@ -51,11 +52,11 @@ type result = {
       (** The probed reduced starting temperature, when a seeded [sa]
           stage ran. *)
   f_tool : Spr_core.Tool.result option;
-      (** The underlying serial result when the flow was the plain
-          single-stage [sa] delegation. *)
+      (** Always [None]: the [sa] stage's outcome is [f_portfolio]. *)
   f_portfolio : Spr_core.Tool.portfolio_result option;
-      (** The underlying portfolio result when [sa] ran as (or inside)
-          a fleet. *)
+      (** The [sa] stage's fleet — one replica unless
+          [Config.parallel.replicas > 1] — when the flow has an [sa]
+          stage. *)
 }
 
 val preset_names : string list

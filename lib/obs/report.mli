@@ -1,9 +1,9 @@
 (** The unified, versioned run report: one record holding what
     [Route_stats], [Profile], and [Dynamics] used to expose through
-    three ad-hoc channels. [Tool.run] and [Tool.run_portfolio] return
-    one of these; the CLI writes it as [report.json] (the machine twin
-    of the ASCII tables) and every ASCII table is re-rendered from it
-    with the shared renderers below. *)
+    three ad-hoc channels. [Tool.run] returns one of these per replica
+    and one for the fleet; the CLI writes the fleet's as [report.json]
+    (the machine twin of the ASCII tables) and every ASCII table is
+    re-rendered from it with the shared renderers below. *)
 
 val schema_version : string
 (** ["spr-report-1"]. *)

@@ -148,15 +148,12 @@ let main ~state_dir ~job ~pipe =
       (* Flows without an sa stage have no Tool run report; their
          outcome carries the status alone. *)
       let status, report =
-        match r.Spr_flow.f_portfolio, r.Spr_flow.f_tool with
-        | Some p, _ ->
+        match r.Spr_flow.f_portfolio with
+        | Some p ->
           ( Spr_core.Outcome.status_to_string
               (Spr_core.Tool.best_result p).Spr_core.Tool.status,
             Some (Spr_obs.Report.to_json p.Spr_core.Tool.p_report) )
-        | None, Some t ->
-          ( Spr_core.Outcome.status_to_string t.Spr_core.Tool.status,
-            Some (Spr_obs.Report.to_json t.Spr_core.Tool.report) )
-        | None, None -> ("completed", None)
+        | None -> ("completed", None)
       in
       (* Outcome before result frame: if the daemon dies between the
          two, restart recovery still finds the result on disk. *)

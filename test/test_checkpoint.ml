@@ -152,7 +152,7 @@ let interrupted_run_dir name =
            }
       |> with_run_dir dir |> with_max_moves 400)
   in
-  let r = Tool.run_exn ~config arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config arch nl) in
   (match r.Tool.status with
   | Tool.Interrupted _ -> ()
   | Tool.Completed -> Alcotest.fail "setup run unexpectedly completed");

@@ -123,6 +123,30 @@ let test_move_budget_then_resume () =
     (not (has_substring ~sub:"interrupted" out));
   rmrf dir
 
+(* A one-replica run dir that lost every snapshot still resumes: the
+   runner restarts the anneal from scratch, as it does for a fleet
+   replica or a served job with nothing to load. *)
+let test_resume_without_snapshots () =
+  let dir = "cli-no-snapshots" in
+  rmrf dir;
+  let status, _ =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "quick"; "--seed"; "2";
+        "--max-moves"; "900"; "--run-dir"; dir ]
+  in
+  check_exit_zero "move-budget run" status;
+  Array.iter
+    (fun f ->
+      if String.starts_with ~prefix:"snap-" f then Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir);
+  let status, out = run_cli [ "route"; "--run-resume"; dir ] in
+  check_exit_zero "resume with no snapshots" status;
+  Alcotest.(check bool)
+    (Printf.sprintf "restarted run completes (got: %s)" out)
+    true
+    (has_substring ~sub:"flow sa" out && not (has_substring ~sub:"interrupted" out));
+  rmrf dir
+
 (* A two-replica portfolio end to end: per-replica reporting, a winner,
    and per-replica snapshot rotations plus a recorded run meta that
    lets --run-resume rebuild the fleet. *)
@@ -207,6 +231,25 @@ let test_trace_report_artifacts () =
   Sys.remove trace;
   Sys.remove report
 
+(* Every flow reports the same way: a multi-stage flow prints the final
+   audit verdict and the anneal's per-phase profile. *)
+let test_flow_selfcheck_profile () =
+  let status, out =
+    run_cli
+      [ "route"; "--circuit"; "s1"; "--effort"; "quick"; "--seed"; "2"; "--flow"; "ap+sa";
+        "--selfcheck"; "--obs-profile" ]
+  in
+  check_exit_zero "ap+sa selfcheck run" status;
+  Alcotest.(check bool)
+    (Printf.sprintf "prints the selfcheck verdict (got: %s)" out)
+    true
+    (has_substring ~sub:"selfcheck: zero audit findings" out);
+  Alcotest.(check bool)
+    (Printf.sprintf "prints the per-phase profile (got: %s)" out)
+    true
+    (has_substring ~sub:"move pipeline:" out
+    && has_substring ~sub:"per-temperature phase times" out)
+
 let test_bad_parallel_flags () =
   let status, _ = run_cli [ "route"; "--circuit"; "s1"; "--parallel"; "0" ] in
   (match status with
@@ -280,6 +323,8 @@ let () =
             test_time_budget_interrupts;
           Alcotest.test_case "move budget interrupts, then resumes to completion" `Slow
             test_move_budget_then_resume;
+          Alcotest.test_case "resume without snapshots restarts fresh" `Slow
+            test_resume_without_snapshots;
         ] );
       ( "parallel",
         [
@@ -290,6 +335,8 @@ let () =
         [
           Alcotest.test_case "--trace/--report artifacts round-trip through spr report" `Slow
             test_trace_report_artifacts;
+          Alcotest.test_case "ap+sa prints selfcheck verdict and profile" `Slow
+            test_flow_selfcheck_profile;
         ] );
       ( "signals",
         [

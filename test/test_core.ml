@@ -19,6 +19,14 @@ let quick_config ?(seed = 1) n =
            max_temperatures = 25;
          })
 
+let rec rmrf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rmrf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 let small_case ?(n_cells = 60) ?(seed = 7) ?(tracks = 20) () =
   let nl = Gen.generate (Gen.default ~n_cells) ~seed in
   let arch = Arch.size_for ~tracks nl in
@@ -26,7 +34,7 @@ let small_case ?(n_cells = 60) ?(seed = 7) ?(tracks = 20) () =
 
 let test_run_routes_small_circuit () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl) in
   Alcotest.(check bool) "fully routed" true r.Tool.fully_routed;
   Alcotest.(check int) "g zero" 0 r.Tool.g;
   Alcotest.(check int) "d zero" 0 r.Tool.d;
@@ -43,23 +51,23 @@ let test_run_routes_small_circuit () =
 let test_run_deterministic () =
   let arch, nl = small_case () in
   let cfg = quick_config (Nl.n_cells nl) in
-  let a = Tool.run_exn ~config:cfg arch nl in
-  let b = Tool.run_exn ~config:cfg arch nl in
+  let a = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
+  let b = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
   Alcotest.(check (float 1e-9)) "same final delay" a.Tool.critical_delay b.Tool.critical_delay;
   Alcotest.(check int) "same move count" a.Tool.anneal_report.Engine.n_moves
     b.Tool.anneal_report.Engine.n_moves
 
 let test_run_seed_matters () =
   let arch, nl = small_case () in
-  let a = Tool.run_exn ~config:(quick_config ~seed:1 (Nl.n_cells nl)) arch nl in
-  let b = Tool.run_exn ~config:(quick_config ~seed:2 (Nl.n_cells nl)) arch nl in
+  let a = Tool.best_result (Tool.run_exn ~config:(quick_config ~seed:1 (Nl.n_cells nl)) arch nl) in
+  let b = Tool.best_result (Tool.run_exn ~config:(quick_config ~seed:2 (Nl.n_cells nl)) arch nl) in
   (* different seeds explore different layouts; delays should differ *)
   Alcotest.(check bool) "different outcomes" true
     (Float.abs (a.Tool.critical_delay -. b.Tool.critical_delay) > 1e-9)
 
 let test_dynamics_recorded () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl) in
   let samples = r.Tool.dynamics in
   Alcotest.(check bool) "samples recorded" true (List.length samples >= 3);
   List.iter
@@ -82,14 +90,14 @@ let test_dynamics_recorded () =
 
 let test_cost_improves () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl) in
   Alcotest.(check bool) "final cost below initial" true
     (r.Tool.anneal_report.Engine.final_cost < r.Tool.anneal_report.Engine.initial_cost)
 
 let test_pinmap_moves_can_be_disabled () =
   let arch, nl = small_case () in
   let cfg = Tool.Config.with_pinmap_moves false (quick_config (Nl.n_cells nl)) in
-  let r = Tool.run_exn ~config:cfg arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
   Alcotest.(check bool) "still completes" true (r.Tool.critical_delay > 0.0);
   (* all pinmaps stay at palette entry 0 *)
   for c = 0 to Nl.n_cells nl - 1 do
@@ -99,7 +107,7 @@ let test_pinmap_moves_can_be_disabled () =
 let test_timing_driven_routing () =
   let arch, nl = small_case () in
   let cfg = Tool.Config.with_timing_driven_routing true (quick_config (Nl.n_cells nl)) in
-  let r = Tool.run_exn ~config:cfg arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:cfg arch nl) in
   Alcotest.(check bool) "routes with criticality ordering" true r.Tool.fully_routed;
   (match Rs.check r.Tool.route with
   | Ok () -> ()
@@ -107,7 +115,7 @@ let test_timing_driven_routing () =
 
 let test_profile_coverage () =
   let arch, nl = small_case () in
-  let r = Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl in
+  let r = Tool.best_result (Tool.run_exn ~config:(quick_config (Nl.n_cells nl)) arch nl) in
   let p = r.Tool.profile in
   let module Profile = Spr_core.Profile in
   Alcotest.(check bool) "moves were profiled" true
@@ -162,7 +170,7 @@ let kernel_words ~circuit ~tracks ~moves phases =
            }
       |> with_max_moves moves)
   in
-  let r = Tool.run_exn ~config (Arch.size_for ~tracks nl) nl in
+  let r = Tool.best_result (Tool.run_exn ~config (Arch.size_for ~tracks nl) nl) in
   let p = r.Tool.profile in
   Alcotest.(check int) (circuit ^ ": move budget ran") moves (Profile.t_moves p);
   List.fold_left (fun acc ph -> acc +. Profile.phase_words p ph) 0.0 phases
@@ -277,26 +285,16 @@ let check_same_result label (a : Tool.result) (b : Tool.result) =
   Alcotest.(check int) (label ^ ": identical moves") a.Tool.anneal_report.Engine.n_moves
     b.Tool.anneal_report.Engine.n_moves
 
-(* A one-replica portfolio takes the exact serial code path. *)
-let test_portfolio_one_is_serial () =
-  let arch, nl = small_case () in
-  let n = Nl.n_cells nl in
-  let serial = Tool.run_exn ~config:(quick_config n) arch nl in
-  let p = Tool.run_portfolio_exn ~config:(portfolio_config ~replicas:1 n) arch nl in
-  Alcotest.(check int) "one result" 1 (Array.length p.Tool.p_results);
-  Alcotest.(check int) "no exchanges" 0 (List.length p.Tool.p_exchanges);
-  check_same_result "k=1" serial (Tool.best_result p)
-
 (* Under [Independent] exchange, replica k is exactly the serial run on
    RNG stream k — so the portfolio winner is reproducible standalone. *)
 let test_portfolio_winner_reproducible () =
   let arch, nl = small_case () in
   let n = Nl.n_cells nl in
-  let p = Tool.run_portfolio_exn ~config:(portfolio_config ~replicas:3 n) arch nl in
+  let p = Tool.run_exn ~config:(portfolio_config ~replicas:3 n) arch nl in
   Alcotest.(check int) "three results" 3 (Array.length p.Tool.p_results);
   let k = p.Tool.p_best_replica in
   let standalone =
-    Tool.run_exn ~config:(Tool.Config.with_stream k (quick_config n)) arch nl
+    Tool.best_result (Tool.run_exn ~config:(Tool.Config.with_stream k (quick_config n)) arch nl)
   in
   check_same_result "winner" (Tool.best_result p) standalone;
   (* replicas genuinely explored different trajectories *)
@@ -318,8 +316,8 @@ let test_portfolio_exchange_deterministic () =
   let config =
     portfolio_config ~seed:2 ~exchange:(Spr_anneal.Portfolio.Best_exchange 3) ~replicas:3 n
   in
-  let a = Tool.run_portfolio_exn ~config arch nl in
-  let b = Tool.run_portfolio_exn ~config arch nl in
+  let a = Tool.run_exn ~config arch nl in
+  let b = Tool.run_exn ~config arch nl in
   Alcotest.(check int) "same winner" a.Tool.p_best_replica b.Tool.p_best_replica;
   Alcotest.(check bool) "same exchange history" true (a.Tool.p_exchanges = b.Tool.p_exchanges);
   Array.iteri
@@ -336,14 +334,6 @@ let test_portfolio_exchange_deterministic () =
 
 (* --- racing scheduler --- *)
 
-let rec rmrf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rmrf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 (* Aggressive racing parameters (zero margin, short warmup) so the
    quick anneal reliably produces kills to exercise. *)
 let racing_config ?(seed = 1) ~replicas n =
@@ -358,8 +348,8 @@ let test_portfolio_racing_deterministic () =
   let arch, nl = small_case () in
   let n = Nl.n_cells nl in
   let config = racing_config ~replicas:3 n in
-  let a = Tool.run_portfolio_exn ~config arch nl in
-  let b = Tool.run_portfolio_exn ~config arch nl in
+  let a = Tool.run_exn ~config arch nl in
+  let b = Tool.run_exn ~config arch nl in
   Alcotest.(check bool) "racing killed something" true (a.Tool.p_scheds <> []);
   Alcotest.(check int) "same winner" a.Tool.p_best_replica b.Tool.p_best_replica;
   Alcotest.(check bool) "same decision rounds" true (a.Tool.p_scheds = b.Tool.p_scheds);
@@ -380,11 +370,11 @@ let test_portfolio_racing_resume_matches () =
   rmrf dir_cut;
   let with_dir dir c = Tool.Config.with_run_dir ~snapshot_every:1 dir c in
   let base = racing_config ~replicas:2 n in
-  let full = Tool.run_portfolio_exn ~config:(with_dir dir_full base) arch nl in
+  let full = Tool.run_exn ~config:(with_dir dir_full base) arch nl in
   Alcotest.(check bool) "baseline killed something" true (full.Tool.p_scheds <> []);
   let moves0 = full.Tool.p_results.(0).Tool.anneal_report.Engine.n_moves in
   let cut =
-    Tool.run_portfolio_exn
+    Tool.run_exn
       ~config:(with_dir dir_cut (Tool.Config.with_max_moves (moves0 / 2) base))
       arch nl
   in
@@ -393,7 +383,7 @@ let test_portfolio_racing_resume_matches () =
        (fun (r : Tool.result) -> r.Tool.status <> Tool.Completed)
        cut.Tool.p_results);
   let resumed =
-    Tool.run_portfolio_exn ~config:(with_dir dir_cut base) ~resume_dir:dir_cut arch nl
+    Tool.run_exn ~config:(with_dir dir_cut base) ~resume_dir:dir_cut arch nl
   in
   Alcotest.(check int) "same winner" full.Tool.p_best_replica resumed.Tool.p_best_replica;
   Alcotest.(check bool) "same decision rounds" true (full.Tool.p_scheds = resumed.Tool.p_scheds);
@@ -403,6 +393,57 @@ let test_portfolio_racing_resume_matches () =
     full.Tool.p_results;
   rmrf dir_full;
   rmrf dir_cut
+
+(* --- interruption --- *)
+
+(* An interrupt requested before the run reaches the anneal even when
+   earlier stages run first: the runner never clears the process-wide
+   flag, so ap+sa's sa stage stops at once and stays off the flow
+   manifest. *)
+let test_interrupt_before_flow () =
+  let arch, nl = small_case () in
+  let dir = "core-interrupt-flow" in
+  rmrf dir;
+  let config =
+    Tool.Config.(quick_config (Nl.n_cells nl) |> with_flow_preset "ap+sa" |> with_run_dir dir)
+  in
+  Tool.request_interrupt ();
+  let r = Fun.protect ~finally:Tool.reset_interrupt (fun () -> Spr_flow.run_exn ~config arch nl) in
+  (match r.Spr_flow.f_portfolio with
+  | Some p ->
+    Alcotest.(check bool) "sa stage interrupted" true
+      ((Tool.best_result p).Tool.status = Tool.Interrupted Tool.Interrupt)
+  | None -> Alcotest.fail "ap+sa ran no sa stage");
+  let completed =
+    match Spr_util.Persist.read_file (Filename.concat dir "flow.json") with
+    | Error e -> Alcotest.failf "flow.json: %s" e
+    | Ok text -> (
+      match Spr_obs.Json.parse text with
+      | Error e -> Alcotest.failf "flow.json: %s" e
+      | Ok j -> (
+        match Option.bind (Spr_obs.Json.member "completed" j) Spr_obs.Json.to_list with
+        | Some l -> List.filter_map Spr_obs.Json.to_str l
+        | None -> Alcotest.fail "flow.json: no completed list"))
+  in
+  Alcotest.(check (list string)) "only ap marked complete" [ "ap" ] completed;
+  rmrf dir
+
+(* A fleet stopping itself (here: a replica trips its accepted-move
+   stop) stops its siblings through its own flag, and leaves the
+   process-wide flag clear for the next run in the same process. *)
+let test_fleet_stop_is_run_local () =
+  let arch, nl = small_case () in
+  let n = Nl.n_cells nl in
+  let p =
+    Tool.run_exn
+      ~config:(Tool.Config.with_stop_after_accepted 50 (portfolio_config ~replicas:2 n))
+      arch nl
+  in
+  Alcotest.(check bool) "every replica stopped" true
+    (Array.for_all (fun (r : Tool.result) -> r.Tool.status <> Tool.Completed) p.Tool.p_results);
+  Alcotest.(check bool) "process-wide flag clear" false (Tool.interrupt_requested ());
+  let next = Tool.best_result (Tool.run_exn ~config:(quick_config n) arch nl) in
+  Alcotest.(check bool) "next serial run completes" true (next.Tool.status = Tool.Completed)
 
 let test_dynamics_module () =
   let d = Dynamics.create ~n_cells:10 in
@@ -443,7 +484,6 @@ let () =
         [ Alcotest.test_case "smart constructor rejects nonsense" `Quick test_config_validation ] );
       ( "portfolio",
         [
-          Alcotest.test_case "one replica is the serial path" `Slow test_portfolio_one_is_serial;
           Alcotest.test_case "winner reproducible standalone" `Slow
             test_portfolio_winner_reproducible;
           Alcotest.test_case "best-exchange deterministic" `Slow
@@ -451,6 +491,13 @@ let () =
           Alcotest.test_case "racing deterministic" `Slow test_portfolio_racing_deterministic;
           Alcotest.test_case "racing kill+resume matches uninterrupted" `Slow
             test_portfolio_racing_resume_matches;
+        ] );
+      ( "interrupt",
+        [
+          Alcotest.test_case "requested before ap+sa stops the sa stage" `Slow
+            test_interrupt_before_flow;
+          Alcotest.test_case "a stopped fleet leaves the process flag clear" `Slow
+            test_fleet_stop_is_run_local;
         ] );
       ("dynamics", [ Alcotest.test_case "bookkeeping" `Quick test_dynamics_module ]);
     ]

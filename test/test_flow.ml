@@ -1,7 +1,7 @@
 (* The composable flow engine: preset validation, analytical-seed
-   determinism, bit-compat of the [sa] preset with the plain tool run,
-   worker-count independence of the seeded anneal, and stage-boundary
-   crash + resume. *)
+   determinism, the sa stage budget under every preset, run-to-run
+   determinism of the seeded anneal, and stage-boundary crash +
+   resume. *)
 
 module Flow = Spr_flow
 module Ap = Spr_flow.Ap_place
@@ -109,20 +109,24 @@ let test_ap_deterministic () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "ap seed not legal: %s" e
 
-(* --- bit-compat of the single-stage [sa] preset --- *)
+(* --- the sa stage budget binds every preset --- *)
 
-let test_sa_preset_matches_tool () =
-  let arch, nl, config = preset ~seed:7 () in
-  let direct = Tool.run_exn ~config arch nl in
-  let via_flow = Flow.run_exn ~config:(Config.with_flow_preset "sa" config) arch nl in
-  Alcotest.(check string) "identical layout" (Rs.snapshot direct.Tool.route)
-    (Rs.snapshot via_flow.Flow.f_route);
-  Alcotest.(check int) "same g" direct.Tool.g via_flow.Flow.f_g;
-  Alcotest.(check int) "same d" direct.Tool.d via_flow.Flow.f_d;
-  Alcotest.(check (float 1e-9)) "same delay" direct.Tool.critical_delay
-    via_flow.Flow.f_critical_delay;
-  Alcotest.(check int) "same move count"
-    direct.Tool.anneal_report.Engine.n_moves (Flow.sa_moves via_flow)
+(* [--stage-budget sa=S] tightens the anneal's wall clock for the
+   single-stage preset exactly as for multi-stage ones. *)
+let test_sa_stage_budget_binds_sa_preset () =
+  let arch, nl, config = preset ~n_cells:120 ~tracks:20 ~seed:7 () in
+  let config =
+    Config.(
+      config |> with_flow_preset "sa" |> with_stage_budget "sa" 0.05
+      |> with_anneal
+           { (Engine.default_config ~n:(Nl.n_cells nl)) with Engine.moves_per_temp = 2000 })
+  in
+  let r = Flow.run_exn ~config arch nl in
+  match r.Flow.f_portfolio with
+  | Some p ->
+    Alcotest.(check bool) "sa ended on its stage budget" true
+      ((Tool.best_result p).Tool.status = Tool.Interrupted Tool.Time_budget)
+  | None -> Alcotest.fail "preset sa ran no sa stage"
 
 (* --- the sequential preset is deterministic and stage-ordered --- *)
 
@@ -137,6 +141,28 @@ let test_seq_preset_deterministic () =
   let names = List.map (fun s -> s.Flow.sg_name) a.Flow.f_stages in
   Alcotest.(check (list string)) "stage order" [ "greedy"; "route"; "sta" ] names
 
+(* A flow that ends on a routed layout without an sta stage still
+   writes a valid trace: the framer times the final layout itself. *)
+let test_unannealed_flow_trace () =
+  let arch, nl, config = preset ~seed:9 () in
+  let path = Filename.temp_file "spr_flow_trace" ".jsonl" in
+  let config = Config.(config |> with_flow_preset "ap+greedy+route" |> with_trace_file path) in
+  let r = Flow.run_exn ~config arch nl in
+  let events =
+    match Trace.of_file path with
+    | Ok events -> events
+    | Error e -> Alcotest.failf "trace unreadable: %s" e
+  in
+  Sys.remove path;
+  (match Trace.validate events with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "trace invalid: %s" e);
+  match List.rev events with
+  | { Trace.ev = Trace.Run_end { g; d; _ }; _ } :: _ ->
+    Alcotest.(check (pair int int))
+      "run_end reports the final layout" (r.Flow.f_g, r.Flow.f_d) (g, d)
+  | _ -> Alcotest.fail "trace does not end with run_end"
+
 (* --- seeded anneal: run-to-run determinism --- *)
 
 let masked_lines events =
@@ -149,11 +175,8 @@ let test_ap_sa_run_twice_identical () =
     let r = Flow.run_exn ~config arch nl in
     let trace =
       match r.Flow.f_portfolio with
-      | Some p -> masked_lines (Tool.portfolio_trace_events ~config nl p)
-      | None -> (
-        match r.Flow.f_tool with
-        | Some t -> masked_lines (Tool.trace_events ~config nl t)
-        | None -> Alcotest.fail "ap+sa produced no sa result")
+      | Some p -> masked_lines (Tool.trace_events ~config nl (Tool.Fleet p))
+      | None -> Alcotest.fail "ap+sa produced no sa result"
     in
     (trace, r.Flow.f_g, r.Flow.f_d, r.Flow.f_seed_temperature)
   in
@@ -247,9 +270,10 @@ let () =
       ("ap", [ Alcotest.test_case "deterministic and legal" `Quick test_ap_deterministic ]);
       ( "presets",
         [
-          Alcotest.test_case "sa == Tool.run bit-identical" `Quick
-            test_sa_preset_matches_tool;
+          Alcotest.test_case "sa stage budget binds preset sa" `Quick
+            test_sa_stage_budget_binds_sa_preset;
           Alcotest.test_case "seq deterministic" `Quick test_seq_preset_deterministic;
+          Alcotest.test_case "ap+greedy+route trace" `Quick test_unannealed_flow_trace;
         ] );
       ( "determinism",
         [
