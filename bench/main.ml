@@ -113,9 +113,44 @@ let make_kernel_state () =
   let sta = Spr_timing.Sta.create Spr_timing.Delay_model.default rs in
   (nl, place, rs, sta)
 
+(* big529 at 38 tracks from a random placement, routed as far as it
+   goes: the congested state in which most router attempts of a move
+   fail. Returns a queued net whose global attempt fails and a queued
+   (net, channel) demand whose detail attempt fails. *)
+let make_congested_state () =
+  let nl = Spr_netlist.Circuits.make_by_name "big529" in
+  let arch = E.arch_for ~tracks:38 nl in
+  let place = Spr_layout.Placement.create_exn arch nl ~rng:(Spr_util.Rng.create 7) in
+  let rs = Spr_route.Route_state.create place in
+  Spr_route.Router.route_all rs;
+  let j = Spr_util.Journal.create () in
+  let fails attempt =
+    let ok = attempt j in
+    Spr_util.Journal.rollback j;
+    not ok
+  in
+  let global =
+    List.find (fun net -> fails (fun j -> Spr_route.Global_router.attempt rs j net))
+      (Spr_route.Route_state.u_g rs)
+  in
+  let detail =
+    List.find_map
+      (fun channel ->
+        List.find_map
+          (fun net ->
+            if fails (fun j -> Spr_route.Detail_router.attempt rs j ~net ~channel) then
+              Some (net, channel)
+            else None)
+          (Spr_route.Route_state.u_d rs channel))
+      (List.init arch.Spr_arch.Arch.n_channels Fun.id)
+  in
+  (rs, global, Option.get detail)
+
 let kernel_tests () =
   let open Bechamel in
   let nl, place, rs, sta = make_kernel_state () in
+  let big, failed_global, (failed_net, failed_channel) = make_congested_state () in
+  let big_journal = Spr_util.Journal.create () in
   let dm = Spr_timing.Delay_model.default in
   let routed_net = ref 0 in
   for n = 0 to Spr_netlist.Netlist.n_nets nl - 1 do
@@ -185,6 +220,12 @@ let kernel_tests () =
       (Staged.stage (fun () ->
            Spr_route.Detail_router.best_track rs ~channel:2
              ~span:(Spr_util.Interval.make 3 11)));
+    Test.make ~name:"route: failed global attempt"
+      (Staged.stage (fun () -> Spr_route.Global_router.attempt big big_journal failed_global));
+    Test.make ~name:"route: failed detail attempt"
+      (Staged.stage (fun () ->
+           Spr_route.Detail_router.attempt big big_journal ~net:failed_net
+             ~channel:failed_channel));
     Test.make ~name:"placement: swap pair" (Staged.stage swap_cycle);
     Test.make ~name:"phase: rip-up+rollback" (Staged.stage phase_rip);
     Test.make ~name:"phase: rip+global+rollback" (Staged.stage phase_global);

@@ -171,6 +171,7 @@ type run_meta = {
   m_scheduler : Spr_core.Tool.Config.scheduler;
   m_flow : string;
   m_circuit : string option;
+  m_label : string;  (* names the run's trace and report, fresh or resumed *)
 }
 
 let write_run_dir ~dir ~file m nl =
@@ -184,7 +185,7 @@ let write_run_dir ~dir ~file m nl =
   Spr_util.Persist.atomic_write (meta_file dir)
     (Printf.sprintf
        "spr-run-meta 1\ntracks %d\nscheme %s\nseed %d\neffort %s\nparallel %d\nexchange %s\n\
-        scheduler %s\nrace-margin %h\nrace-warmup %d\nrace-every %d\nflow %s\n%s"
+        scheduler %s\nrace-margin %h\nrace-warmup %d\nrace-every %d\nflow %s\nlabel %s\n%s"
        m.m_tracks
        (Spr_arch.Segmentation.scheme_to_string m.m_scheme)
        m.m_seed
@@ -192,7 +193,9 @@ let write_run_dir ~dir ~file m nl =
        m.m_parallel
        (Spr_anneal.Portfolio.exchange_to_string m.m_exchange)
        (Spr_core.Tool.Config.scheduler_to_string scheduler)
-       scheduler.race_margin scheduler.race_warmup scheduler.race_every m.m_flow circuit_line)
+       scheduler.race_margin scheduler.race_warmup scheduler.race_every m.m_flow
+       (String.map (function '\n' | '\r' -> ' ' | c -> c) m.m_label)
+       circuit_line)
 
 let read_run_meta dir =
   match Spr_util.Persist.read_file (meta_file dir) with
@@ -236,6 +239,20 @@ let read_run_meta dir =
                before the racing scheduler carry no scheduler lines: the
                barrier. *)
             let flow = Option.value (find "flow") ~default:"sa" in
+            (* The label is the rest of its line (a file name may hold
+               spaces). Run dirs written before it was recorded fall
+               back to the circuit name, as their fresh runs did. *)
+            let m_label =
+              match
+                List.find_map
+                  (function
+                    | "label" :: (_ :: _ as words) -> Some (String.concat " " words)
+                    | _ -> None)
+                  fields
+              with
+              | Some label -> label
+              | None -> Option.value (find "circuit") ~default:"run"
+            in
             let d = Spr_core.Tool.Config.default.parallel.scheduler in
             let kind_sync =
               match find "scheduler" with
@@ -266,6 +283,7 @@ let read_run_meta dir =
                       { d with kind; race_sync; race_margin; race_warmup; race_every };
                     m_flow = flow;
                     m_circuit = find "circuit";
+                    m_label;
                   }
               | _ -> fail "malformed race-* field"))
           | _ -> fail "malformed parallel/exchange field")
@@ -399,13 +417,19 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
         Result.map_error (fun e -> "resume failed: " ^ e)
           (Result.bind (read_run_meta dir) (fun m ->
                Result.map
-                 (fun nl -> (m, nl, Option.value m.m_circuit ~default:"run", Some dir))
+                 (fun nl -> (m, nl, Some dir))
                  (match m.m_circuit with
                  | Some name -> load_netlist ~file:None ~circuit:(Some name)
                  | None -> Spr_netlist.Blif.parse_file (design_file dir))))
     | None ->
       Result.map
         (fun nl ->
+          let label =
+            match circuit, file with
+            | Some name, _ -> name
+            | None, Some path -> Filename.remove_extension (Filename.basename path)
+            | None, None -> "run"
+          in
           let m =
             {
               m_tracks = tracks;
@@ -425,16 +449,11 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
                 };
               m_flow = flow;
               m_circuit = (if file = None then circuit else None);
+              m_label = label;
             }
           in
-          let label =
-            match circuit, file with
-            | Some name, _ -> name
-            | None, Some path -> Filename.remove_extension (Filename.basename path)
-            | None, None -> "run"
-          in
           Option.iter (fun dir -> write_run_dir ~dir ~file m nl) run_dir;
-          (m, nl, label, run_dir))
+          (m, nl, run_dir))
         (load_netlist ~file ~circuit)
   in
   match parse_stage_budgets stage_budget_specs with
@@ -443,7 +462,7 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
   | Ok stage_budgets -> (
     match setup () with
     | Error e -> `Error (false, e)
-    | Ok (m, nl, label, run_dir) -> (
+    | Ok (m, nl, run_dir) -> (
       let n = Spr_netlist.Netlist.n_cells nl in
       Format.printf "circuit: %a@." Spr_netlist.Netlist.pp_summary nl;
       let arch = Spr_arch.Arch.size_for ~tracks:m.m_tracks ~hscheme:m.m_scheme nl in
@@ -458,7 +477,7 @@ let route file circuit tracks scheme seed effort flow stage_budget_specs selfche
         resume;
       let config =
         cli_config m ~n ~stage_budgets ~time_budget ~max_moves ~run_dir ~snapshot_every
-          ~snapshot_keep ~selfcheck ~trace ~report_file ~label
+          ~snapshot_keep ~selfcheck ~trace ~report_file ~label:m.m_label
       in
       match
         run_route ~config ?resume_dir:resume ~selfcheck ~profile arch nl ~svg ~checkpoint ~ascii

@@ -103,12 +103,26 @@ let run st =
         end)
       (Rs.h_routes st net)
   done;
-  (* --- pass 2: owner arrays vs the listed segments, both directions --- *)
+  (* --- pass 2: owner arrays vs the listed segments, both directions,
+     and vs the free-track maps over every cell of each segment --- *)
+  let free_map_agrees ~subject ~owner seg bit =
+    let stale = ref (-1) in
+    (* Walk down so the lowest stale cell is the one reported. *)
+    for at = seg.I.hi downto seg.I.lo do
+      if bit at <> (owner = -1) then stale := at
+    done;
+    if !stale >= 0 then
+      report ~subject "free-track map marks cell %d %s but the segment is %s" !stale
+        (if owner = -1 then "taken" else "free")
+        (if owner = -1 then "free" else Printf.sprintf "owned by net %d" owner)
+  in
   for ch = 0 to n_channels - 1 do
     for tr = 0 to arch.Arch.tracks - 1 do
       let segs = Arch.hsegments arch ~channel:ch ~track:tr in
       for s = 0 to Array.length segs - 1 do
         let owner = Rs.hseg_owner st ~channel:ch ~track:tr ~seg:s in
+        free_map_agrees ~subject:(Printf.sprintf "h segment (%d,%d,%d)" ch tr s) ~owner
+          segs.(s) (fun col -> Rs.hfree_bit st ~channel:ch ~track:tr ~col);
         match owner, Hashtbl.find_opt listed_h (ch, tr, s) with
         | -1, None -> ()
         | -1, Some n ->
@@ -131,6 +145,8 @@ let run st =
       let segs = Arch.vsegments arch ~col ~vtrack:vt in
       for s = 0 to Array.length segs - 1 do
         let owner = Rs.vseg_owner st ~col ~vtrack:vt ~seg:s in
+        free_map_agrees ~subject:(Printf.sprintf "v segment (%d,%d,%d)" col vt s) ~owner
+          segs.(s) (fun channel -> Rs.vfree_bit st ~col ~vtrack:vt ~channel);
         match owner, Hashtbl.find_opt listed_v (col, vt, s) with
         | -1, None -> ()
         | -1, Some n ->

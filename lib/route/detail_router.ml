@@ -6,25 +6,28 @@ let run_cost ~antifuse_weight segs ~slo ~shi ~lo ~hi =
   float_of_int wastage +. (antifuse_weight *. float_of_int (shi - slo + 1))
 
 (* The cheapest track whose free run covers columns [lo, hi], or -1.
-   Ties go to the earlier track (a later track must be strictly
-   cheaper). Scans with plain loops, so it allocates nothing. *)
+   The free-track map gives the tracks whose run is free; only those are
+   costed, in ascending order, and a later track must be strictly
+   cheaper to win a tie. Allocates nothing. *)
 let best_track_index ~antifuse_weight st ~channel ~lo ~hi =
   let arch = Route_state.arch st in
   let best = ref (-1) and best_cost = ref 0.0 in
-  for track = 0 to arch.Spr_arch.Arch.tracks - 1 do
-    let segs = Spr_arch.Arch.hsegments arch ~channel ~track in
-    let slo = Spr_arch.Arch.cover_start segs ~lo ~hi in
-    if slo >= 0 then begin
-      let shi = Spr_arch.Arch.cover_end segs slo ~hi in
-      if Route_state.hrun_free st ~channel ~track ~slo ~shi then begin
+  if lo >= 0 && hi < arch.Spr_arch.Arch.cols then
+    for word = 0 to ((arch.Spr_arch.Arch.tracks - 1) / Route_state.word_bits) do
+      let free = ref (Route_state.hfree_and st ~channel ~word ~lo ~hi) in
+      while !free <> 0 do
+        let track = (word * Route_state.word_bits) + Route_state.lowest_bit_index !free in
+        let segs = Spr_arch.Arch.hsegments arch ~channel ~track in
+        let slo = Spr_arch.Arch.cover_start segs ~lo ~hi in
+        let shi = Spr_arch.Arch.cover_end segs slo ~hi in
         let cost = run_cost ~antifuse_weight segs ~slo ~shi ~lo ~hi in
         if !best < 0 || cost < !best_cost then begin
           best := track;
           best_cost := cost
-        end
-      end
-    end
-  done;
+        end;
+        free := !free land (!free - 1)
+      done
+    done;
   !best
 
 let best_track ?(antifuse_weight = 3.0) st ~channel ~span =

@@ -7,18 +7,23 @@ module I = Spr_util.Interval
 let default_max_candidates = 24
 
 (* First vertical track at column [x] whose free segments cover channels
-   [clo, chi], or -1. *)
-let rec free_vtrack st arch ~x ~clo ~chi vt =
-  if vt >= arch.Spr_arch.Arch.vtracks then -1
+   [clo, chi], or -1: the lowest vtrack free in every cell of the span,
+   taken from the first word of the free-track map that has one. *)
+let rec first_free_vtrack st ~x ~clo ~chi ~words word =
+  if word >= words then -1
   else begin
-    let segs = Spr_arch.Arch.vsegments arch ~col:x ~vtrack:vt in
-    let slo = Spr_arch.Arch.cover_start segs ~lo:clo ~hi:chi in
-    if slo >= 0
-       && Route_state.vrun_free st ~col:x ~vtrack:vt ~slo
-            ~shi:(Spr_arch.Arch.cover_end segs slo ~hi:chi)
-    then vt
-    else free_vtrack st arch ~x ~clo ~chi (vt + 1)
+    let free = Route_state.vfree_and st ~col:x ~word ~clo ~chi in
+    if free <> 0 then (word * Route_state.word_bits) + Route_state.lowest_bit_index free
+    else first_free_vtrack st ~x ~clo ~chi ~words (word + 1)
   end
+
+let free_vtrack st ~x ~clo ~chi =
+  let arch = Route_state.arch st in
+  if clo < 0 || chi >= arch.Spr_arch.Arch.n_channels then -1
+  else
+    first_free_vtrack st ~x ~clo ~chi
+      ~words:(((arch.Spr_arch.Arch.vtracks - 1) / Route_state.word_bits) + 1)
+      0
 
 (* Candidate spine columns by distance from the window center, ties
    toward the left: center, center-1, center+1, center-2, ... clipped to
@@ -30,14 +35,14 @@ let rec scan st arch ~clo ~chi ~lo ~hi ~center ~max_candidates dist tried =
   let left_in = left >= lo && left <= hi and right_in = right >= lo && right <= hi in
   if tried >= max_candidates || ((not left_in) && not right_in) then -1
   else begin
-    let vt = if left_in then free_vtrack st arch ~x:left ~clo ~chi 0 else -1 in
+    let vt = if left_in then free_vtrack st ~x:left ~clo ~chi else -1 in
     if vt >= 0 then (left * arch.Spr_arch.Arch.vtracks) + vt
     else begin
       let tried = tried + if left_in then 1 else 0 in
       let probe_right = dist > 0 && right_in in
       if tried >= max_candidates then -1
       else begin
-        let vt = if probe_right then free_vtrack st arch ~x:right ~clo ~chi 0 else -1 in
+        let vt = if probe_right then free_vtrack st ~x:right ~clo ~chi else -1 in
         if vt >= 0 then (right * arch.Spr_arch.Arch.vtracks) + vt
         else
           scan st arch ~clo ~chi ~lo ~hi ~center ~max_candidates (dist + 1)

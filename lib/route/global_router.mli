@@ -15,3 +15,9 @@ val attempt :
     (default 2) lets the spine sit slightly outside the pin bounding
     box; at most [max_candidates] (default 24) columns are probed,
     nearest the bounding-box center first. *)
+
+val free_vtrack : Route_state.t -> x:int -> clo:int -> chi:int -> int
+(** [free_vtrack st ~x ~clo ~chi] is the lowest vertical track at column
+    [x] whose free segments cover channels [clo..chi], or [-1] (also for
+    a span outside the fabric). The probe {!attempt} makes per candidate
+    column, exposed for tests. *)

@@ -37,6 +37,13 @@ type t = {
   nl : Spr_netlist.Netlist.t;
   h_owner : int array array array;  (* channel -> track -> seg -> net / -1 *)
   v_owner : int array array array;  (* col -> vtrack -> seg -> net / -1 *)
+  (* Free-track maps, derived from the owners and written with them:
+     bit [b] of word [w] of a cell stands for track [w * word_bits + b],
+     set when that track's segment holding the cell is free. *)
+  hwords : int;  (* words per [hfree] cell *)
+  vwords : int;  (* words per [vfree] cell *)
+  hfree : int array array;  (* channel -> col * hwords + word *)
+  vfree : int array array;  (* col -> channel * vwords + word *)
   nstats : nstat array;
   ug : Q.t;  (* U_G retry queue, keyed by estimated length (half-perimeter) *)
   ud : Q.t array;  (* per channel U_D,R queues, keyed by demand span length *)
@@ -118,12 +125,103 @@ let hrun_free t ~channel ~track ~slo ~shi = run_free t.h_owner.(channel).(track)
 
 let vrun_free t ~col ~vtrack ~slo ~shi = run_free t.v_owner.(col).(vtrack) slo shi
 
+(* --- free-track maps --- *)
+
+(* 62 tracks per word keeps every mask a non-negative OCaml int. *)
+let word_bits = 62
+
+let n_words tracks = (tracks + word_bits - 1) / word_bits
+
+let test_bit cells ~width ~track ~at =
+  cells.((at * width) + (track / word_bits)) land (1 lsl (track mod word_bits)) <> 0
+
+(* Set or clear one track's bit in cells [lo, hi]. *)
+let write_bits cells ~width ~track ~lo ~hi free =
+  let w = track / word_bits and bit = 1 lsl (track mod word_bits) in
+  if free then
+    for at = lo to hi do
+      let i = (at * width) + w in
+      cells.(i) <- cells.(i) lor bit
+    done
+  else begin
+    let keep = lnot bit in
+    for at = lo to hi do
+      let i = (at * width) + w in
+      cells.(i) <- cells.(i) land keep
+    done
+  end
+
+(* AND of one word over cells [lo, hi], stopping at the first zero. *)
+let and_cells cells ~width ~word ~lo ~hi =
+  let m = ref cells.((lo * width) + word) and at = ref (lo + 1) in
+  while !m <> 0 && !at <= hi do
+    m := !m land cells.((!at * width) + word);
+    incr at
+  done;
+  !m
+
+let hfree_and t ~channel ~word ~lo ~hi =
+  and_cells t.hfree.(channel) ~width:t.hwords ~word ~lo ~hi
+
+let vfree_and t ~col ~word ~clo ~chi =
+  and_cells t.vfree.(col) ~width:t.vwords ~word ~lo:clo ~hi:chi
+
+let lowest_bit_index m =
+  let b = ref (m land -m) and i = ref 0 in
+  if !b land 0xFFFFFFFF = 0 then begin
+    b := !b lsr 32;
+    i := 32
+  end;
+  if !b land 0xFFFF = 0 then begin
+    b := !b lsr 16;
+    i := !i + 16
+  end;
+  if !b land 0xFF = 0 then begin
+    b := !b lsr 8;
+    i := !i + 8
+  end;
+  if !b land 0xF = 0 then begin
+    b := !b lsr 4;
+    i := !i + 4
+  end;
+  if !b land 0x3 = 0 then begin
+    b := !b lsr 2;
+    i := !i + 2
+  end;
+  if !b land 0x1 = 0 then !i + 1 else !i
+
+let hfree_bit t ~channel ~track ~col =
+  test_bit t.hfree.(channel) ~width:t.hwords ~track ~at:col
+
+let vfree_bit t ~col ~vtrack ~channel =
+  test_bit t.vfree.(col) ~width:t.vwords ~track:vtrack ~at:channel
+
 (* --- journaled primitive mutations --- *)
 
-let set_owner j arr seg v =
-  let old = arr.(seg) in
-  arr.(seg) <- v;
-  J.record j (fun () -> arr.(seg) <- old)
+(* A run of segments changes owner as one: a claim finds it all free, a
+   release all held by the one net. One write updates the owners and the
+   free map over the run's cells, and one undo restores both. *)
+let fill_hrun t ~channel ~track ~slo ~shi owner =
+  Array.fill t.h_owner.(channel).(track) slo (shi - slo + 1) owner;
+  let segs = t.arch.Spr_arch.Arch.hsegs.(channel).(track) in
+  write_bits t.hfree.(channel) ~width:t.hwords ~track ~lo:segs.(slo).I.lo ~hi:segs.(shi).I.hi
+    (owner = -1)
+
+let fill_vrun t ~col ~vtrack ~slo ~shi owner =
+  Array.fill t.v_owner.(col).(vtrack) slo (shi - slo + 1) owner;
+  let segs = t.arch.Spr_arch.Arch.vsegs.(col).(vtrack) in
+  write_bits t.vfree.(col) ~width:t.vwords ~track:vtrack ~lo:segs.(slo).I.lo
+    ~hi:segs.(shi).I.hi (owner = -1)
+
+let set_hrun t j ~channel ~track ~slo ~shi owner =
+  let old = t.h_owner.(channel).(track).(slo) in
+  fill_hrun t ~channel ~track ~slo ~shi owner;
+  J.record j (fun () -> fill_hrun t ~channel ~track ~slo ~shi old)
+
+let set_vrun t j ~col ~vtrack ~slo ~shi owner =
+  let old = t.v_owner.(col).(vtrack).(slo) in
+  fill_vrun t ~col ~vtrack ~slo ~shi owner;
+  J.record j (fun () -> fill_vrun t ~col ~vtrack ~slo ~shi old)
 
 let set_d_flag t j ns flag =
   if ns.d_flag <> flag then begin
@@ -247,9 +345,9 @@ let free_route_segments t j net =
   | Some vr ->
     let arr = t.v_owner.(vr.v_col).(vr.v_vtrack) in
     for s = vr.v_slo to vr.v_shi do
-      assert (arr.(s) = net);
-      set_owner j arr s (-1)
+      assert (arr.(s) = net)
     done;
+    set_vrun t j ~col:vr.v_col ~vtrack:vr.v_vtrack ~slo:vr.v_slo ~shi:vr.v_shi (-1);
     let b = bucket vr.v_col in
     t.v_epoch.(b) <- t.v_epoch.(b) + 1);
   List.iter
@@ -257,9 +355,9 @@ let free_route_segments t j net =
       let ch = hr.h_channel in
       let arr = t.h_owner.(ch).(hr.h_track) in
       for s = hr.h_slo to hr.h_shi do
-        assert (arr.(s) = net);
-        set_owner j arr s (-1)
+        assert (arr.(s) = net)
       done;
+      set_hrun t j ~channel:ch ~track:hr.h_track ~slo:hr.h_slo ~shi:hr.h_shi (-1);
       let segs = t.arch.Spr_arch.Arch.hsegs.(ch).(hr.h_track) in
       let blo = bucket segs.(hr.h_slo).I.lo and bhi = bucket segs.(hr.h_shi).I.hi in
       for b = blo to bhi do
@@ -420,10 +518,7 @@ let claim_global t j net vr =
   mark_dirty t net;
   assert ns.in_ug;
   assert (vrun_free t ~col:vr.v_col ~vtrack:vr.v_vtrack ~slo:vr.v_slo ~shi:vr.v_shi);
-  let arr = t.v_owner.(vr.v_col).(vr.v_vtrack) in
-  for s = vr.v_slo to vr.v_shi do
-    set_owner j arr s net
-  done;
+  set_vrun t j ~col:vr.v_col ~vtrack:vr.v_vtrack ~slo:vr.v_slo ~shi:vr.v_shi net;
   set_vr j ns (Some vr);
   set_in_ug t j net false;
   (* The new demands deserve fresh detail attempts regardless of
@@ -437,10 +532,7 @@ let claim_detail t j net hr =
   mark_dirty t net;
   assert (List.mem hr.h_channel ns.missing);
   assert (hrun_free t ~channel:hr.h_channel ~track:hr.h_track ~slo:hr.h_slo ~shi:hr.h_shi);
-  let arr = t.h_owner.(hr.h_channel).(hr.h_track) in
-  for s = hr.h_slo to hr.h_shi do
-    set_owner j arr s net
-  done;
+  set_hrun t j ~channel:hr.h_channel ~track:hr.h_track ~slo:hr.h_slo ~shi:hr.h_shi net;
   set_hroutes j ns ((hr.h_channel, hr) :: ns.hroutes);
   set_missing t j net (List.filter (fun ch -> ch <> hr.h_channel) ns.missing);
   refresh_d t j ns
@@ -460,6 +552,21 @@ let create place =
     Array.init arch.Arch.cols (fun col ->
         Array.init arch.Arch.vtracks (fun vt ->
             Array.make (Array.length arch.Arch.vsegs.(col).(vt)) (-1)))
+  in
+  (* Everything starts free: in every cell, word [w] has the low
+     [min word_bits (tracks - w * word_bits)] bits set. *)
+  let all_free ~cells ~tracks =
+    let width = n_words tracks in
+    Array.init (cells * width) (fun i ->
+        lnot (-1 lsl min word_bits (tracks - (i mod width * word_bits))))
+  in
+  let hfree =
+    Array.init arch.Arch.n_channels (fun _ ->
+        all_free ~cells:arch.Arch.cols ~tracks:arch.Arch.tracks)
+  in
+  let vfree =
+    Array.init arch.Arch.cols (fun _ ->
+        all_free ~cells:arch.Arch.n_channels ~tracks:arch.Arch.vtracks)
   in
   let n_nets = Spr_netlist.Netlist.n_nets nl in
   let routable =
@@ -485,6 +592,10 @@ let create place =
       nl;
       h_owner;
       v_owner;
+      hwords = n_words arch.Arch.tracks;
+      vwords = n_words arch.Arch.vtracks;
+      hfree;
+      vfree;
       nstats;
       ug = Q.create ~capacity:n_nets;
       ud = Array.init arch.Arch.n_channels (fun _ -> Q.create ~capacity:n_nets);
@@ -508,6 +619,42 @@ let create place =
   t
 
 (* --- validation --- *)
+
+(* Recompute one direction's free map from the owners and the
+   segmentation, and report the first cell that differs. *)
+let diff_free_map ~what ~cells ~owners ~segs ~width ~n_cells =
+  let error = ref None in
+  Array.iteri
+    (fun outer per_track ->
+      let expect = Array.make (n_cells * width) 0 in
+      Array.iteri
+        (fun track arr ->
+          Array.iteri
+            (fun s owner ->
+              let seg = segs.(outer).(track).(s) in
+              write_bits expect ~width ~track ~lo:seg.I.lo ~hi:seg.I.hi (owner = -1))
+            arr)
+        per_track;
+      let i = ref 0 in
+      while !error = None && !i < n_cells * width do
+        if cells.(outer).(!i) <> expect.(!i) then
+          error :=
+            Some
+              (Printf.sprintf "%s (%d,%d) word %d is %#x but the owners say %#x" what outer
+                 (!i / width) (!i mod width) cells.(outer).(!i) expect.(!i));
+        incr i
+      done)
+    owners;
+  match !error with Some e -> Error e | None -> Ok ()
+
+let check_free_maps t =
+  let open Spr_arch in
+  Result.bind
+    (diff_free_map ~what:"hfree (channel, col)" ~cells:t.hfree ~owners:t.h_owner
+       ~segs:t.arch.Arch.hsegs ~width:t.hwords ~n_cells:t.arch.Arch.cols)
+    (fun () ->
+      diff_free_map ~what:"vfree (col, channel)" ~cells:t.vfree ~owners:t.v_owner
+        ~segs:t.arch.Arch.vsegs ~width:t.vwords ~n_cells:t.arch.Arch.n_channels)
 
 let check t =
   let error = ref None in
@@ -562,7 +709,9 @@ let check t =
             arr)
         per_vt)
     t.v_owner;
-  (* 2. Per-net structural invariants against the current placement. *)
+  (* 2. The free-track maps agree with the owners, cell by cell. *)
+  (match check_free_maps t with Ok () -> () | Error e -> fail "%s" e);
+  (* 3. Per-net structural invariants against the current placement. *)
   let d_expected = ref 0 in
   Array.iteri
     (fun net ns ->
@@ -660,9 +809,19 @@ module Debug = struct
 
   let clear_missing t net = t.nstats.(net).missing <- []
 
-  let set_hseg_owner t ~channel ~track ~seg owner = t.h_owner.(channel).(track).(seg) <- owner
+  let set_hseg_owner t ~channel ~track ~seg owner =
+    fill_hrun t ~channel ~track ~slo:seg ~shi:seg owner
 
-  let set_vseg_owner t ~col ~vtrack ~seg owner = t.v_owner.(col).(vtrack).(seg) <- owner
+  let set_vseg_owner t ~col ~vtrack ~seg owner = fill_vrun t ~col ~vtrack ~slo:seg ~shi:seg owner
+
+  let flip_free_bit t cell ~track =
+    let cells, width, at =
+      match cell with
+      | `H (channel, col) -> (t.hfree.(channel), t.hwords, col)
+      | `V (col, channel) -> (t.vfree.(col), t.vwords, channel)
+    in
+    let i = (at * width) + (track / word_bits) in
+    cells.(i) <- cells.(i) lxor (1 lsl (track mod word_bits))
 
   let bump_d_total t delta = t.d_total <- t.d_total + delta
 end

@@ -99,6 +99,12 @@ val missing_channels : t -> int -> int list
 val d_flag : t -> int -> bool
 (** The net's cached contribution to the [D] count. *)
 
+val hfree_bit : t -> channel:int -> track:int -> col:int -> bool
+(** The track's bit in the [hfree] mask of the cell (see
+    {!section-free_maps}). *)
+
+val vfree_bit : t -> col:int -> vtrack:int -> channel:int -> bool
+
 (** {1 Queues} *)
 
 val u_g : t -> int list
@@ -203,6 +209,37 @@ val hrun_free : t -> channel:int -> track:int -> slo:int -> shi:int -> bool
 
 val vrun_free : t -> col:int -> vtrack:int -> slo:int -> shi:int -> bool
 
+(** {2:free_maps Free-track maps}
+
+    Occupancy indexed by cell, for O(span) feasibility tests. Per
+    channel and column there is a mask of the tracks whose segment
+    holding that column is free ([hfree]), and per column and channel a
+    mask of the vtracks whose segment holding that channel is free
+    ([vfree]). Segments partition their track, so a track's cover run
+    over a span is free exactly when its bit is set in every cell of the
+    span: the AND of the masks over the span is the set of tracks that
+    can take it.
+
+    A mask is a sequence of {!word_bits}-bit words (as many as the track
+    count needs); bit [b] of word [w] is track [w * word_bits + b]. The
+    maps are derived state: every ownership write keeps them current,
+    its journal undo restores them with the owners, and they are never
+    persisted. *)
+
+val word_bits : int
+(** Tracks per mask word (62, so every word is a non-negative int). *)
+
+val hfree_and : t -> channel:int -> word:int -> lo:int -> hi:int -> int
+(** AND of word [word] of the [hfree] masks over columns [lo..hi] of
+    the channel ([0 <= lo <= hi < cols]). *)
+
+val vfree_and : t -> col:int -> word:int -> clo:int -> chi:int -> int
+(** AND of word [word] of the [vfree] masks over channels [clo..chi] at
+    the column ([0 <= clo <= chi < n_channels]). *)
+
+val lowest_bit_index : int -> int
+(** Index of the lowest set bit of a non-zero word. *)
+
 (** {1 Mutation (all journaled)} *)
 
 val rip_up : t -> Spr_util.Journal.t -> int -> unit
@@ -228,9 +265,10 @@ val claim_detail : t -> Spr_util.Journal.t -> int -> hroute -> unit
 (** {1 Validation} *)
 
 val check : t -> (unit, string) result
-(** Exhaustive invariant check (ownership consistency, coverage,
-    contiguity, demand/queue/counter agreement with the current
-    placement). Used by tests; O(fabric + nets). *)
+(** Exhaustive invariant check (ownership consistency, free-track maps
+    recomputed from the owners, coverage, contiguity,
+    demand/queue/counter agreement with the current placement). Used by
+    tests; O(fabric + nets). *)
 
 module Debug : sig
   (** Deliberate state corruption, for tests only: each setter desyncs
@@ -248,8 +286,14 @@ module Debug : sig
       and the D count stale. *)
 
   val set_hseg_owner : t -> channel:int -> track:int -> seg:int -> int -> unit
+  (** Overwrite one owner entry; the free-track map follows it, so only
+      the owner-versus-routes agreement breaks. *)
 
   val set_vseg_owner : t -> col:int -> vtrack:int -> seg:int -> int -> unit
+
+  val flip_free_bit : t -> [ `H of int * int | `V of int * int ] -> track:int -> unit
+  (** Flip one track's bit in one free-map cell, [`H (channel, col)] or
+      [`V (col, channel)], leaving the owners as they are. *)
 
   val bump_d_total : t -> int -> unit
 end

@@ -218,6 +218,34 @@ let test_mutation_owner () =
   Alcotest.(check bool) "found a claimed segment" true !corrupted;
   expect_findings "freed owned segment" "route" (Check.Route_audit.run rs)
 
+(* The owner setter keeps the free-track maps in step, so the audit
+   blames only the owner; flipping one map bit behind the owners' back
+   is caught by both the audit and [Rs.check]. *)
+let test_mutation_free_bit () =
+  let rs = routed_state 6 in
+  let arch = Rs.arch rs in
+  let map_findings fs =
+    List.filter (fun f -> contains f.Finding.detail "free-track map") fs
+  in
+  let seg_cols = Arch.hsegments arch ~channel:1 ~track:0 in
+  let old = Rs.hseg_owner rs ~channel:1 ~track:0 ~seg:0 in
+  Rs.Debug.set_hseg_owner rs ~channel:1 ~track:0 ~seg:0 (if old = -1 then 0 else -1);
+  Alcotest.(check int) "owner setter leaves the map consistent" 0
+    (List.length (map_findings (Check.Route_audit.run rs)));
+  Rs.Debug.set_hseg_owner rs ~channel:1 ~track:0 ~seg:0 old;
+  check_findings "owner restored" (Check.Route_audit.run rs);
+  let stale_bit cell ~track =
+    Rs.Debug.flip_free_bit rs cell ~track;
+    let fs = Check.Route_audit.run rs in
+    expect_findings "flipped free bit" "route" fs;
+    Alcotest.(check bool) "audit names the free-track map" true (map_findings fs <> []);
+    Alcotest.(check bool) "Rs.check sees the stale bit" true (Result.is_error (Rs.check rs));
+    Rs.Debug.flip_free_bit rs cell ~track;
+    check_findings "bit restored" (Check.Route_audit.run rs)
+  in
+  stale_bit (`H (1, seg_cols.(0).Spr_util.Interval.hi)) ~track:0;
+  stale_bit (`V (arch.Arch.cols - 1, 0)) ~track:(arch.Arch.vtracks - 1)
+
 let test_mutation_pad_off_perimeter () =
   let rs = routed_state 7 in
   let place = Rs.place rs in
@@ -652,6 +680,8 @@ let () =
             test_mutation_missing;
           Alcotest.test_case "route audit sees corrupted owner array" `Quick
             test_mutation_owner;
+          Alcotest.test_case "route audit sees a stale free-track bit" `Quick
+            test_mutation_free_bit;
           Alcotest.test_case "place audit sees pad off perimeter" `Quick
             test_mutation_pad_off_perimeter;
           Alcotest.test_case "sta audit sees missed invalidation" `Quick

@@ -147,6 +147,45 @@ let test_resume_without_snapshots () =
     (has_substring ~sub:"flow sa" out && not (has_substring ~sub:"interrupted" out));
   rmrf dir
 
+(* A resumed run keeps the label of the run it continues: the run dir
+   of a BLIF run records the file's name, so fresh and resumed traces
+   both say "c60". *)
+let test_resume_keeps_label () =
+  let dir = "cli-label" in
+  let design = Filename.concat dir "c60.blif" in
+  rmrf dir;
+  Sys.mkdir dir 0o755;
+  let t1 = Filename.concat dir "t1.jsonl" and t2 = Filename.concat dir "t2.jsonl" in
+  let status, _ =
+    run_cli [ "generate"; "--cells"; "60"; "--seed"; "4"; "-o"; design ]
+  in
+  check_exit_zero "generate" status;
+  let run_dir = Filename.concat dir "run" in
+  let status, _ =
+    run_cli
+      [ "route"; design; "--tracks"; "16"; "--effort"; "quick"; "--seed"; "2";
+        "--max-moves"; "600"; "--run-dir"; run_dir; "--trace"; t1 ]
+  in
+  check_exit_zero "fresh BLIF run" status;
+  let status, out = run_cli [ "route"; "--run-resume"; run_dir; "--trace"; t2 ] in
+  check_exit_zero "resumed BLIF run" status;
+  let label_of path =
+    match Spr_util.Persist.read_file path with
+    | Error e -> Alcotest.failf "%s: %s (run output: %s)" path e out
+    | Ok text -> (
+      match Spr_obs.Trace.of_string text with
+      | Error e -> Alcotest.failf "%s does not decode: %s" path e
+      | Ok events ->
+        List.find_map
+          (function
+            | { Spr_obs.Trace.ev = Spr_obs.Trace.Run_start { label; _ }; _ } -> Some label
+            | _ -> None)
+          events)
+  in
+  Alcotest.(check (option string)) "fresh trace label" (Some "c60") (label_of t1);
+  Alcotest.(check (option string)) "resumed trace label" (Some "c60") (label_of t2);
+  rmrf dir
+
 (* A two-replica portfolio end to end: per-replica reporting, a winner,
    and per-replica snapshot rotations plus a recorded run meta that
    lets --run-resume rebuild the fleet. *)
@@ -325,6 +364,8 @@ let () =
             test_move_budget_then_resume;
           Alcotest.test_case "resume without snapshots restarts fresh" `Slow
             test_resume_without_snapshots;
+          Alcotest.test_case "resumed BLIF run keeps the run's label" `Slow
+            test_resume_keeps_label;
         ] );
       ( "parallel",
         [
